@@ -337,6 +337,15 @@ def _order_cell(prev, cur):
     return f"{math.log2(prev / cur):.3f}"
 
 
+def _partial_newton(exc):
+    """Newton block of a failed solve, from the SolveReport that its error
+    carries bare or as (report, x)."""
+    diag = exc.diagnostics
+    rep = diag[0] if isinstance(diag, tuple) else diag
+    return {"iterations": rep.iterations, "residual_history": rep.residual_history,
+            "message": rep.message}
+
+
 def _run_measure(run, out_dir, quiet, echo=None):
     exit_code = EXIT_OK
     payload = {"mode": "solve-measure", "config_echo": echo}
@@ -367,6 +376,7 @@ def _run_measure(run, out_dir, quiet, echo=None):
         except NonconvergenceError as exc:
             exit_code = EXIT_NONCONVERGENCE
             payload["error"] = str(exc)
+            payload["newton"] = _partial_newton(exc)
     if field is not None:
         bounds = verify_apriori_bounds(field, run.problem, residual_tol=max(run.tol, 1e-8))
         payload["bounds"] = vars(bounds)
@@ -413,6 +423,7 @@ def _run_graph(run, out_dir, quiet, echo=None):
     except NonconvergenceError as exc:
         exit_code = EXIT_NONCONVERGENCE
         payload["error"] = str(exc)
+        payload["newton"] = _partial_newton(exc)
     if field is not None:
         probe = curvature_bound_probe(field, run.problem)
         payload["probe"] = vars(probe)

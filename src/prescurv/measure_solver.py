@@ -243,7 +243,9 @@ def homotopy_solve(prob, schedule=None):
     t, dt = 0.0, sched.dt_init
     streak = 0
     while t < 1.0:
-        t_try = min(t + dt, 1.0)
+        t_try = t + dt
+        if t_try > 1.0 - 0.5 * sched.dt_min:
+            t_try = 1.0     # float sums of dt stop a rounding error short of 1
         try:
             field_try, rep = solve_at(t_try, field)
         except NonconvergenceError as exc:

@@ -150,6 +150,19 @@ def test_nonconvergence_exit_code(tmp_path):
     assert "error" in report
 
 
+def test_nonconvergence_report_keeps_partial_newton_block(tmp_path):
+    cfg = minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], [0.2, 0, 0, 1]],
+                          solver={"method": "newton", "max_iter": 1})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = main(["solve-measure", "--config", path, "--out", str(out), "--quiet"])
+    assert code == 2
+    newton = json.loads((out / "report.json").read_text())["newton"]
+    assert newton["iterations"] == 1
+    assert len(newton["residual_history"]) == 2
+    assert newton["message"] == "no convergence in 1 iterations"
+
+
 def test_convergence_study_single_grid_has_no_orders(tmp_path):
     path = write_config(tmp_path, {
         "mode": "convergence-study",

@@ -6,6 +6,7 @@ import pytest
 
 from prescurv.errors import ConeViolationError, ConfigError, StartRadiusError
 from prescurv.measure_solver import (
+    HomotopySchedule,
     MeasureProblem,
     _grid_groups,
     _soft_evaluate,
@@ -16,7 +17,7 @@ from prescurv.measure_solver import (
     uniqueness_probe,
     verify_apriori_bounds,
 )
-from prescurv.newton_core import fd_jacobian
+from prescurv.newton_core import fd_jacobian, jacobian_pattern
 from prescurv.polynomials import Poly3
 from prescurv.sphere_geometry import RadialField, build_grid, field_difference
 from prescurv.symmfunc import OperatorSpec
@@ -125,8 +126,7 @@ def test_jacobian_matches_directional_differences():
     eval_fn = lambda v: _soft_evaluate(v, prob, phi_vals)
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, ev.residual, eval_fn, groups,
-                    [np.fromiter(r, dtype=np.int64) for r in reads])
+    J = fd_jacobian(x, ev.residual, eval_fn, jacobian_pattern(groups, reads))
     v = rng.standard_normal(g.n_nodes)
     h = 1e-6
     fd = (eval_fn(x + h * v).residual - eval_fn(x - h * v).residual) / (2 * h)
@@ -155,6 +155,15 @@ def test_homotopy_tilted_density_completes():
     assert np.abs(residual(sol, prob)).max() <= 1e-8
     # solution genuinely non-round
     assert sol.rho.max() - sol.rho.min() > 0.05
+
+
+def test_homotopy_lands_exactly_on_one():
+    # no dt doubling, so t advances by sums of 0.1 that fall short of 1
+    prob = make_problem(build_grid(8, 16), phi=PHI_TILT)
+    _, trace = homotopy_solve(prob, HomotopySchedule(oneshot_iters=0))
+    ts = [s.t for s in trace.steps]
+    assert ts[-1] == 1.0
+    assert not any(1.0 - 1e-12 < t < 1.0 for t in ts)
 
 
 def test_homotopy_solutions_depend_on_p():
