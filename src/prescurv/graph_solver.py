@@ -22,14 +22,14 @@ right-hand-side structure is untested territory and deliberately left out.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConeViolationError, ConfigError, ConstructionError
-from .mat2 import eigvalsh_sym, inv_sqrt_spd
+from .mat2 import eigvalsh_sym, inv_sqrt_spd, pencil_sigmas, sym2
 from .newton_core import Evaluation, damped_newton
-from .symmfunc import sigma
+from .symmfunc import cone_margin
 
 GRAPH_DIM = 2
 
@@ -71,10 +71,6 @@ class RectGrid:
 
     def meshes(self):
         return np.meshgrid(self.x1, self.x2, indexing="ij")
-
-    @property
-    def n_interior(self):
-        return (self.nx - 2) * (self.ny - 2)
 
     def boundary_mask(self):
         m = np.zeros((self.nx, self.ny), dtype=bool)
@@ -158,33 +154,27 @@ class GraphField:
         if self.g.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("g shape does not match the grid")
 
-    def w_full(self):
-        gx = _d1(self.g, 0, self.grid.hx)
-        gy = _d1(self.g, 1, self.grid.hy)
-        return np.sqrt(1.0 + gx**2 + gy**2)
-
 
 # ---------------------------------------------------------------------------
 # pointwise shape
+
+
+def _graph_forms(Dg, D2g):
+    """w, metric I + Dg Dg^T and second fundamental form -D2g/w of a graph
+    (cap-positive convention); real or complex input."""
+    p1, p2 = Dg[..., 0], Dg[..., 1]
+    w = np.sqrt(1.0 + p1**2 + p2**2)
+    return w, sym2(1.0 + p1**2, p1 * p2, 1.0 + p2**2), -D2g / w[..., None, None]
 
 
 def graph_shape(Dg, D2g):
     """Principal curvatures and |A| of a graph point from its derivatives.
 
     Dg has shape (..., 2), D2g shape (..., 2, 2).  Curvatures are the
-    eigenvalues of g^{-1/2} (-D2g/w) g^{-1/2} with metric
-    g = I + Dg Dg^T: the cap-positive convention.
+    eigenvalues of g^{-1/2} b g^{-1/2} with the forms of _graph_forms.
+    Reporting only: the solve works on pencil_sigmas of the same forms.
     """
-    Dg = np.asarray(Dg, dtype=float)
-    D2g = np.asarray(D2g, dtype=float)
-    p1, p2 = Dg[..., 0], Dg[..., 1]
-    w = np.sqrt(1.0 + p1**2 + p2**2)
-    G = np.empty(Dg.shape[:-1] + (2, 2))
-    G[..., 0, 0] = 1.0 + p1**2
-    G[..., 0, 1] = p1 * p2
-    G[..., 1, 0] = p1 * p2
-    G[..., 1, 1] = 1.0 + p2**2
-    b = -D2g / w[..., None, None]
+    _, G, b = _graph_forms(np.asarray(Dg, dtype=float), np.asarray(D2g, dtype=float))
     gis = inv_sqrt_spd(G)
     S = gis @ b @ gis
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
@@ -192,42 +182,37 @@ def graph_shape(Dg, D2g):
     return lam, np.sqrt(np.sum(lam**2, axis=-1))
 
 
-def _interior_derivatives(grid, g):
+def _interior_sigmas(grid, g):
+    """w and (sigma_0, sigma_1, sigma_2) at the interior nodes from centred
+    stencils on the full-grid heights g (real or complex)."""
     hx, hy = grid.hx, grid.hy
     gx = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2 * hx)
     gy = (g[1:-1, 2:] - g[1:-1, :-2]) / (2 * hy)
     gxx = (g[2:, 1:-1] - 2 * g[1:-1, 1:-1] + g[:-2, 1:-1]) / hx**2
     gyy = (g[1:-1, 2:] - 2 * g[1:-1, 1:-1] + g[1:-1, :-2]) / hy**2
     gxy = (g[2:, 2:] - g[2:, :-2] - g[:-2, 2:] + g[:-2, :-2]) / (4 * hx * hy)
-    Dg = np.stack([gx, gy], axis=-1)
-    D2g = np.empty(gx.shape + (2, 2))
-    D2g[..., 0, 0] = gxx
-    D2g[..., 0, 1] = gxy
-    D2g[..., 1, 0] = gxy
-    D2g[..., 1, 1] = gyy
-    return Dg, D2g
+    w, G, b = _graph_forms(np.stack([gx, gy], axis=-1), sym2(gxx, gxy, gyy))
+    return w, pencil_sigmas(G, b)
 
 
 def _soft_evaluate(g_int_flat, prob):
+    """Residual plus admissibility data; g_int_flat may be complex
+    (complex-step Jacobian), admissibility and aux read real parts."""
     grid = prob.grid
-    g = prob.boundary.copy()
+    g = prob.boundary.astype(g_int_flat.dtype)
     g[1:-1, 1:-1] = g_int_flat.reshape(grid.nx - 2, grid.ny - 2)
     if not np.all(np.isfinite(g)):
-        return Evaluation(np.full(g_int_flat.size, 1e30), False, -math.inf, {})
-    Dg, D2g = _interior_derivatives(grid, g)
-    lam, _ = graph_shape(Dg, D2g)
-    margin = sigma(lam, 1)
-    for l in range(2, prob.k + 1):
-        margin = np.minimum(margin, sigma(lam, l))
-    cone_margin = float(margin.min())
+        return Evaluation(np.full(g_int_flat.size, 1e30), False,
+                          np.full((grid.nx - 2, grid.ny - 2), -math.inf), {})
+    w, sig = _interior_sigmas(grid, g)
+    margin = cone_margin(s.real for s in sig[1:prob.k + 1])
     # mean curvature (k = 1) is elliptic on every graph, so the cone gate
     # only applies to the genuinely fully nonlinear orders
-    admissible = cone_margin > 0.0 if prob.k >= 2 else True
-    w = np.sqrt(1.0 + Dg[..., 0] ** 2 + Dg[..., 1] ** 2)
+    admissible = float(margin.min()) > 0.0 if prob.k >= 2 else True
     H_int = prob.H.interior(grid, g)
-    res = sigma(lam, prob.k) - H_int * w ** (-prob.q)
-    aux = {"H_min": float(H_int.min()), "res_norm2": float(np.linalg.norm(res))}
-    return Evaluation(res.ravel(), admissible, cone_margin, aux)
+    res = sig[prob.k] - H_int * w ** (-prob.q)
+    aux = {"H_min": float(H_int.real.min()), "res_norm2": float(np.linalg.norm(res.real))}
+    return Evaluation(res.ravel(), admissible, margin, aux)
 
 
 def graph_residual(field, prob):
@@ -238,14 +223,7 @@ def graph_residual(field, prob):
     """
     ev = _soft_evaluate(field.g[1:-1, 1:-1].ravel(), prob)
     if not ev.admissible:
-        g = prob.boundary.copy()
-        g[1:-1, 1:-1] = field.g[1:-1, 1:-1]
-        Dg, D2g = _interior_derivatives(prob.grid, g)
-        lam, _ = graph_shape(Dg, D2g)
-        ok = np.ones(lam.shape[:-1], dtype=bool)
-        for l in range(1, prob.k + 1):
-            ok &= sigma(lam, l) > 0.0
-        bad = np.argwhere(~ok) + 1  # report in full-grid indices
+        bad = np.argwhere(ev.margin <= 0.0) + 1  # report in full-grid indices
         raise ConeViolationError(
             f"spectrum outside Gamma_{prob.k} at {len(bad)} interior node(s), "
             f"first {bad[:5].tolist()}", nodes=bad.tolist())
@@ -317,14 +295,11 @@ def manufactured_H(solution, k, q, grid):
     anywhere on the grid.
     """
     X1, X2 = grid.meshes()
-    Dg, D2g = solution.derivatives(X1, X2)
-    lam, _ = graph_shape(Dg, D2g)
-    for l in range(1, k + 1):
-        if np.any(sigma(lam, l) <= 0.0):
-            raise ConstructionError(
-                f"manufactured surface leaves Gamma_{k} on the domain (sigma_{l} <= 0)")
-    w = np.sqrt(1.0 + Dg[..., 0] ** 2 + Dg[..., 1] ** 2)
-    return sigma(lam, k) * w**q
+    w, G, b = _graph_forms(*solution.derivatives(X1, X2))
+    sig = pencil_sigmas(G, b)
+    if np.any(cone_margin(sig[1:k + 1]) <= 0.0):
+        raise ConstructionError(f"manufactured surface leaves Gamma_{k} on the domain")
+    return sig[k] * w**q
 
 
 def exact_field(solution, grid):
@@ -377,7 +352,7 @@ def _rect_groups(grid):
 def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
     """Damped Newton on the interior unknowns, boundary held at the data.
 
-    Same contract as the sphere solver: forward-difference Jacobian in
+    Same contract as the sphere solver: complex-step Jacobian in
     structurally orthogonal groups, Armijo backtracking, cone veto.
     """
     ev0 = _soft_evaluate(start.g[1:-1, 1:-1].ravel(), prob)

@@ -163,10 +163,7 @@ def _ratio_alpha_d2(lam, B, alphas, k):
     for _ in range(8):
         t = h[:, None] * offsets[None, :]
         eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
-        ok = sigma(eig, 1) > 0.0
-        for l in range(2, k + 1):
-            ok &= sigma(eig, l) > 0.0
-        bad = ~ok.all(axis=1)
+        bad = ~in_gamma_k(eig, k, return_margin=False).all(axis=1)
         if not bad.any():
             break
         h = np.where(bad, 0.5 * h, h)

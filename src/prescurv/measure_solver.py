@@ -27,10 +27,11 @@ from .errors import (
     NonconvergenceError,
     StartRadiusError,
 )
-from .newton_core import Evaluation, SolveReport, damped_newton
+from .mat2 import pencil_sigmas
+from .newton_core import Evaluation, damped_newton
 from .polynomials import Poly3
-from .sphere_geometry import RadialField, radial_geometry
-from .symmfunc import OperatorSpec, sigma
+from .sphere_geometry import RadialField, radial_forms, radial_geometry
+from .symmfunc import OperatorSpec, cone_margin, sigma
 
 SURFACE_DIM = 2  # the discretized solver targets radial graphs over S^2
 
@@ -124,27 +125,25 @@ def initial_sphere_radius(op, p, n=SURFACE_DIM):
 
 
 def _soft_evaluate(rho_flat, prob, phi_vals):
-    """Residual plus admissibility data; never raises inside the solver."""
+    """Residual plus admissibility data; never raises inside the solver.
+    rho_flat may be complex (complex-step Jacobian): the residual is
+    analytic, admissibility and aux read real parts."""
     grid = prob.grid
     rho = rho_flat.reshape(grid.n_theta, grid.n_phi)
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
-        return Evaluation(np.full(rho_flat.size, 1e30), False, -math.inf,
-                          {"u_min": -math.inf, "rho_min": float(rho.min())})
-    geo = radial_geometry(RadialField(grid, rho))
-    lam = geo.principal
-    margin = sigma(lam, 1)
-    for l in range(2, prob.op.k + 1):
-        margin = np.minimum(margin, sigma(lam, l))
-    cone_margin = float(margin.min())
-    u_min = float(geo.u.min())
-    admissible = cone_margin > 0.0 and u_min > 0.0
+    if np.any(rho.real <= 0.0) or not np.all(np.isfinite(rho)):
+        return Evaluation(np.full(rho_flat.size, 1e30), False, np.full(rho.shape, -math.inf),
+                          {"u_min": -math.inf, "rho_min": float(rho.real.min())})
+    _, _, _, u, metric, b = radial_forms(grid, rho)
+    sig = pencil_sigmas(metric, b)
+    margin = cone_margin(s.real for s in sig[1:prob.op.k + 1])
+    u_min = float(u.real.min())
+    admissible = float(margin.min()) > 0.0 and u_min > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = prob.op.value_on_spectrum(lam)
-        res = F - geo.u**prob.p * phi_vals
+        res = prob.op.value_on_sigmas(sig) - u**prob.p * phi_vals
     res = np.where(np.isfinite(res), res, 1e30)
-    aux = {"u_min": u_min, "rho_min": float(rho.min()), "rho_max": float(rho.max()),
-           "res_norm2": float(np.linalg.norm(res))}
-    return Evaluation(res.ravel(), admissible, cone_margin, aux)
+    aux = {"u_min": u_min, "rho_min": float(rho.real.min()),
+           "rho_max": float(rho.real.max()), "res_norm2": float(np.linalg.norm(res.real))}
+    return Evaluation(res.ravel(), admissible, margin, aux)
 
 
 def residual(field, prob):
@@ -153,12 +152,7 @@ def residual(field, prob):
         raise ConfigError("field and problem use different grids")
     ev = _soft_evaluate(field.rho.ravel(), prob, prob.phi_values())
     if not ev.admissible:
-        geo = radial_geometry(field)
-        lam = geo.principal
-        ok = np.ones(lam.shape[:-1], dtype=bool)
-        for l in range(1, prob.op.k + 1):
-            ok &= sigma(lam, l) > 0.0
-        bad = np.argwhere(~ok)
+        bad = np.argwhere(ev.margin <= 0.0)
         raise ConeViolationError(
             f"spectrum outside Gamma_{prob.op.k} at {len(bad)} node(s), "
             f"first {bad[:5].tolist()}", nodes=bad.tolist())
@@ -222,7 +216,6 @@ def homotopy_solve(prob, schedule=None):
         sub = _problem_at_t(prob, t)
         out, rep = newton_solve(start, sub, tol=sched.newton_tol,
                                 max_iter=sched.newton_max_iter)
-        last_aux = rep.aux_history[-1]
         trace.steps.append(HomotopyStep(
             t=t, newton_iters=rep.iterations, final_residual=rep.final_residual,
             min_cone_margin=min(rep.cone_margin_history),
@@ -233,8 +226,8 @@ def homotopy_solve(prob, schedule=None):
 
     # constant data (phi identically 1) makes every phi_t the same problem:
     # carry the t=0 solution straight to t=1
-    tail = _soft_evaluate(field.rho.ravel(), _problem_at_t(prob, 1.0),
-                          _problem_at_t(prob, 1.0).phi_values())
+    end = _problem_at_t(prob, 1.0)
+    tail = _soft_evaluate(field.rho.ravel(), end, end.phi_values())
     if tail.admissible and float(np.abs(tail.residual).max()) <= sched.newton_tol:
         field, rep = solve_at(1.0, field)
         trace.success = True

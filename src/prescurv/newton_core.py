@@ -1,12 +1,12 @@
 """Damped Newton iteration shared by the sphere and graph solvers.
 
-The Jacobian is assembled by forward differences of the residual with the
-per-column step sqrt(machine eps) * (1 + |x_j|).  Columns whose stencils
-never meet the same residual row are perturbed together (structurally
-orthogonal groups), which reproduces the per-column entries exactly while
-costing only one residual evaluation per group.  The Jacobian is stored
-as a scipy.sparse CSC matrix (at most nine nonzeros per row) and factored
-with SuperLU (scipy.sparse.linalg.splu).
+Both solvers' residuals are analytic in the unknowns, so the Jacobian is
+exact to rounding by the complex step J e = Im R(x + i h e) / h (Squire &
+Trapp, SIAM Rev. 40, 1998).  Columns whose stencils never meet the same
+residual row are perturbed together (structurally orthogonal groups), one
+complex residual evaluation per group.  The Jacobian is stored as a
+scipy.sparse CSC matrix (at most nine nonzeros per row) and factored with
+SuperLU (scipy.sparse.linalg.splu).
 
 Damping is backtracking with factor 1/2 and Armijo constant 1e-4 on the
 squared residual norm, plus an admissibility veto: a trial point whose
@@ -23,7 +23,9 @@ from .errors import NonconvergenceError
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 40
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# Im R(x + i h e) carries no cancellation, so h only has to keep O(h^2)
+# terms below rounding; one fixed step serves every column and scale.
+COMPLEX_STEP = 1e-30
 # The stencil pattern is structurally symmetric, so SuperLU's minimum-degree
 # ordering on A^T + A fits it: on the 65x65 graph and 32x64 sphere Jacobians
 # it makes about 60% of the fill of the COLAMD default, in half the time.
@@ -36,8 +38,12 @@ class Evaluation:
 
     residual: np.ndarray
     admissible: bool
-    cone_margin: float
+    margin: np.ndarray   # per node: min over l <= k of sigma_l, real parts
     aux: dict
+
+    @property
+    def cone_margin(self):
+        return float(np.min(self.margin))
 
 
 @dataclass
@@ -58,14 +64,13 @@ class SolveReport:
 @dataclass
 class JacobianPattern:
     """CSC sparsity pattern of the Jacobian with a scatter map per column
-    group.  Entry m of a group is the difference quotient of residual row
-    rows[m] over the step of the group's column local[m]; it is stored at
-    data[slots[m]]."""
+    group.  Entry m of a group is the derivative of residual row rows[m]
+    along the group's step; it is stored at data[slots[m]]."""
 
     n: int
     indices: np.ndarray
     indptr: np.ndarray
-    fills: list          # per group: (columns, rows, local, slots)
+    fills: list          # per group: (columns, rows, slots)
 
 
 def jacobian_pattern(groups, reads):
@@ -81,24 +86,23 @@ def jacobian_pattern(groups, reads):
     for grp in groups:
         grp = np.asarray(grp, dtype=np.int64)
         slots = np.concatenate([np.arange(indptr[c], indptr[c + 1]) for c in grp])
-        local = np.repeat(np.arange(grp.size), counts[grp])
-        fills.append((grp, indices[slots], local, slots))
+        fills.append((grp, indices[slots], slots))
     return JacobianPattern(n, indices, indptr, fills)
 
 
-def fd_jacobian(x, res0, eval_fn, pattern):
-    """Forward-difference Jacobian as a CSC array, one residual evaluation
+# The name predates the complex step; bench/tracing.py times and sizes the
+# Jacobian by wrapping this function by name, with x as its first argument.
+def fd_jacobian(x, eval_fn, pattern):
+    """Complex-step Jacobian as a CSC array, one complex residual evaluation
     per column group."""
     # deferred: importing scipy.sparse costs more than the rest of the package
     from scipy.sparse import csc_array
 
     data = np.empty(pattern.indices.size)
-    for grp, rows, local, slots in pattern.fills:
-        eps = _SQRT_EPS * (1.0 + np.abs(x[grp]))
-        xp = x.copy()
-        xp[grp] += eps
-        dres = eval_fn(xp).residual - res0
-        data[slots] = dres[rows] / eps[local]
+    for grp, rows, slots in pattern.fills:
+        xp = x.astype(complex)
+        xp.imag[grp] = COMPLEX_STEP
+        data[slots] = eval_fn(xp).residual.imag[rows] / COMPLEX_STEP
     return csc_array((data, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
 
 
@@ -132,7 +136,7 @@ def damped_newton(x0, eval_fn, groups, reads, tol, max_iter):
         if report.iterations >= max_iter:
             report.message = f"no convergence in {max_iter} iterations"
             raise NonconvergenceError(report.message, diagnostics=(report, x))
-        J = fd_jacobian(x, ev.residual, eval_fn, pattern)
+        J = fd_jacobian(x, eval_fn, pattern)
         try:
             step = newton_step(J, ev.residual)
         except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"

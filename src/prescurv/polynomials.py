@@ -39,13 +39,12 @@ class Poly3:
         return [[c, i, j, k] for c, (i, j, k) in self.terms]
 
     def __call__(self, a, b, c):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
+        """Real or complex arguments (complex-step differentiation of H(x, g))."""
+        a, b, c = (np.asarray(v, dtype=np.result_type(v, float)) for v in (a, b, c))
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape, c.shape))
         for coef, (i, j, k) in self.terms:
             out = out + coef * a**i * b**j * c**k
-        return out if out.shape else float(out)
+        return out if out.shape else out.item()
 
     def eval_unit_vectors(self, x):
         """Evaluate at points x of shape (..., 3) (sphere density usage)."""

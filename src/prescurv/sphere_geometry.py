@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StarshapednessError
-from .mat2 import eigvalsh_sym, inv_sqrt_spd
+from .mat2 import eigvalsh_sym, inv_sqrt_spd, sym2
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ class SphericalGrid:
         return (-ext[4:] + 16 * ext[3:-1] - 30 * ext[2:-2]
                 + 16 * ext[1:-3] - ext[:-4]) / (12 * h**2)
 
-    # -- stencil table for the finite-difference Jacobian -------------------
+    # -- stencil table for the Jacobian's column colouring ------------------
 
     def stencil_neighbors(self):
         """Flat-index table: row i lists every node the second-order
@@ -131,9 +131,9 @@ class SphericalGrid:
         return table
 
     def column_groups(self):
-        """Structurally orthogonal column groups for forward-difference
-        Jacobian assembly: two columns share a group only if no residual
-        row reads both of them."""
+        """Structurally orthogonal column groups for complex-step Jacobian
+        assembly: two columns share a group only if no residual row reads
+        both of them."""
         neigh = self.stencil_neighbors()
         n = self.n_nodes
         reads = [set() for _ in range(n)]     # reads[c] = rows that read column c
@@ -210,19 +210,16 @@ class RadialField:
     def constant(cls, grid, value):
         return cls(grid, np.full((grid.n_theta, grid.n_phi), float(value)))
 
-    def with_rho(self, rho):
-        return RadialField(self.grid, rho)
 
-
-def tangential_derivatives(field, order=2):
+def tangential_derivatives(grid, rho, order=2):
     """Covariant gradient and Hessian of rho on S^2, orthonormal frame.
 
     Returns (grad, hess) with grad[..., i] = (rho_theta, rho_phi/sin) and
     hess the symmetric 2x2 covariant Hessian.  The mixed component is
     computed as d_theta(rho_phi / sin theta) with odd cross-pole parity,
-    which keeps it second-order accurate up to the pole rows.
+    which keeps it second-order accurate up to the pole rows.  rho may be
+    real or complex.
     """
-    grid, rho = field.grid, field.rho
     st, ct = grid.sin_theta, grid.cos_theta
     g1 = grid.d_theta(rho, order)
     dphi = grid.d_phi(rho, order)
@@ -230,13 +227,31 @@ def tangential_derivatives(field, order=2):
     h11 = grid.d_thetatheta(rho, order)
     h12 = grid.d_theta(g2, order, parity=-1.0)
     h22 = grid.d_phiphi(rho, order) / st**2 + (ct / st) * g1
-    grad = np.stack([g1, g2], axis=-1)
-    hess = np.empty(rho.shape + (2, 2))
-    hess[..., 0, 0] = h11
-    hess[..., 0, 1] = h12
-    hess[..., 1, 0] = h12
-    hess[..., 1, 1] = h22
-    return grad, hess
+    return np.stack([g1, g2], axis=-1), sym2(h11, h12, h22)
+
+
+def radial_forms(grid, rho):
+    """Jet and fundamental forms of the radial graph X = rho x.
+
+    Returns (grad, hess, w, u, metric, b) in the orthonormal sphere frame,
+    outward normal:
+        w     = sqrt(rho^2 + |grad rho|^2)
+        u     = rho^2 / w
+        g_ij  = rho^2 delta_ij + rho_i rho_j
+        b_ij  = (rho^2 delta_ij + 2 rho_i rho_j - rho rho_;ij) / w
+    Only analytic operations, so a complex rho (complex-step
+    differentiation) passes through unchanged.
+    """
+    grad, hess = tangential_derivatives(grid, rho)
+    d1, d2 = grad[..., 0], grad[..., 1]
+    w = np.sqrt(rho**2 + d1**2 + d2**2)
+    u = rho**2 / w
+    metric = sym2(rho**2 + d1**2, d1 * d2, rho**2 + d2**2)
+    winv = 1.0 / w
+    b = sym2((rho**2 + 2 * d1 * d1 - rho * hess[..., 0, 0]) * winv,
+             (2 * d1 * d2 - rho * hess[..., 0, 1]) * winv,
+             (rho**2 + 2 * d2 * d2 - rho * hess[..., 1, 1]) * winv)
+    return grad, hess, w, u, metric, b
 
 
 @dataclass(frozen=True)
@@ -263,39 +278,19 @@ class SurfaceGeometry:
 def radial_geometry(field):
     """All geometric quantities of the radial graph X = rho x.
 
-    Formulas (orthonormal sphere frame, outward normal):
-        w     = sqrt(rho^2 + |grad rho|^2)
-        nu    = (rho x - grad rho) / w
-        u     = rho^2 / w
-        g_ij  = rho^2 delta_ij + rho_i rho_j
-        b_ij  = (rho^2 delta_ij + 2 rho_i rho_j - rho rho_;ij) / w
-    Principal curvatures are the eigenvalues of g^{-1/2} b g^{-1/2}; the
-    round sphere rho = r gives lambda = +1/r exactly (stencils annihilate
-    constants), which fixes the orientation convention.
+    Forms as in radial_forms; nu = (rho x - grad rho) / w.  Principal
+    curvatures are the eigenvalues of g^{-1/2} b g^{-1/2}; the round sphere
+    rho = r gives lambda = +1/r exactly (stencils annihilate constants),
+    which fixes the orientation convention.
     """
     grid, rho = field.grid, field.rho
-    grad, hess = tangential_derivatives(field)
-    d1, d2 = grad[..., 0], grad[..., 1]
-    w = np.sqrt(rho**2 + d1**2 + d2**2)
-    x = grid.nodes
-    X = rho[..., None] * x
-    grad_vec = d1[..., None] * grid.e_theta + d2[..., None] * grid.e_phi
-    nu = (rho[..., None] * x - grad_vec) / w[..., None]
-    u = rho**2 / w
+    grad, hess, w, u, metric, b = radial_forms(grid, rho)
     if np.any(u <= 0.0):
         bad = np.argwhere(u <= 0.0)
         raise StarshapednessError(f"support function u <= 0 at node(s) {bad[:5].tolist()}")
-    metric = np.empty(rho.shape + (2, 2))
-    metric[..., 0, 0] = rho**2 + d1**2
-    metric[..., 0, 1] = d1 * d2
-    metric[..., 1, 0] = d1 * d2
-    metric[..., 1, 1] = rho**2 + d2**2
-    b = np.empty_like(metric)
-    winv = 1.0 / w
-    b[..., 0, 0] = (rho**2 + 2 * d1 * d1 - rho * hess[..., 0, 0]) * winv
-    b[..., 0, 1] = (2 * d1 * d2 - rho * hess[..., 0, 1]) * winv
-    b[..., 1, 0] = b[..., 0, 1]
-    b[..., 1, 1] = (rho**2 + 2 * d2 * d2 - rho * hess[..., 1, 1]) * winv
+    X = rho[..., None] * grid.nodes
+    grad_vec = grad[..., 0, None] * grid.e_theta + grad[..., 1, None] * grid.e_phi
+    nu = (X - grad_vec) / w[..., None]
     gis = inv_sqrt_spd(metric)
     S = gis @ b @ gis
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
@@ -344,7 +339,7 @@ def field_norm(grid, values, kind="l2"):
 def structure_equation_residuals(geom):
     grid = geom.grid
     rho = geom.field.rho
-    grad4, hess4 = tangential_derivatives(geom.field, order=4)
+    grad4, hess4 = tangential_derivatives(grid, rho, order=4)
     d1, d2 = geom.grad_rho[..., 0], geom.grad_rho[..., 1]
     winv = 1.0 / geom.w
     # normal projection of the sphere-covariant Hessian of X, fourth order

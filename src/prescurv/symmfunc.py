@@ -7,6 +7,7 @@ Gamma_k = {lambda : sigma_l(lambda) > 0 for l = 1..k} is the admissibility
 domain used by the solvers.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -126,6 +127,12 @@ def sigma_hess_dir(A, B, l):
     return out if batch else float(out)
 
 
+def cone_margin(sigmas):
+    """Smallest of sigma_1..sigma_k (per node when arrays): positive exactly
+    on Gamma_k."""
+    return functools.reduce(np.minimum, sigmas)
+
+
 def in_gamma_k(values, k, return_margin=True):
     """Membership of the spectrum in the cone Gamma_k.
 
@@ -137,9 +144,7 @@ def in_gamma_k(values, k, return_margin=True):
     n = values.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} out of range 1..{n}")
-    margin = sigma(values, 1)
-    for l in range(2, k + 1):
-        margin = np.minimum(margin, sigma(values, l))
+    margin = cone_margin(sigma(values, l) for l in range(1, k + 1))
     ok = margin > 0.0
     if values.ndim == 1:
         ok, margin = bool(ok), float(margin)
@@ -173,12 +178,15 @@ class OperatorSpec:
     def homogeneity(self):
         return self.k - (self.l if self.kind == "quotient" else 0)
 
+    def value_on_sigmas(self, sig):
+        """Operator value from sig[l] = sigma_l (sigma_0 = 1); quotient included."""
+        if self.kind == "sigma_k":
+            return sig[self.k]
+        return sig[self.k] / sig[self.l]
+
     def value_on_spectrum(self, lam):
         """Operator value from a spectrum array (..., n); quotient included."""
-        if self.kind == "sigma_k":
-            return sigma(lam, self.k)
-        sl = sigma(lam, self.l)
-        return sigma(lam, self.k) / sl
+        return self.value_on_sigmas({l: sigma(lam, l) for l in (self.k, self.l)})
 
     def label(self):
         if self.kind == "sigma_k":

@@ -1,0 +1,62 @@
+"""The names the traced benchmark run (bench/tracing.py) binds to.
+
+The tracer wraps program functions by module attribute and drops every
+metric whose name no longer resolves, so a rename in src/ silently thins
+the traced result.  These tests read bench/tracing.py without importing it
+as a package module and check each name it relies on.
+"""
+
+import importlib
+import inspect
+import json
+import os
+import runpy
+import subprocess
+import sys
+
+import prescurv
+from prescurv import graph_solver, inequality_lab, measure_solver, newton_core
+from prescurv.sphere_geometry import SphericalGrid
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "bench", "tracing.py")
+
+
+def tracing_names():
+    return runpy.run_path(TRACING)
+
+
+def test_every_traced_span_resolves():
+    for span, (mod_name, attr) in tracing_names()["SPANS"].items():
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), span
+
+
+def test_wrapped_names_exist():
+    assert callable(SphericalGrid.column_groups)
+    assert callable(inequality_lab.in_gamma_k)
+    for mod_name in tracing_names()["NEWTON_CALLERS"]:
+        assert importlib.import_module(mod_name).damped_newton is newton_core.damped_newton
+    assert measure_solver.damped_newton is graph_solver.damped_newton
+
+
+def test_traced_call_signatures():
+    # the tracer sizes the Jacobian from fd_jacobian's first argument and
+    # wraps the evaluation callable passed second to damped_newton
+    assert list(inspect.signature(newton_core.fd_jacobian).parameters)[0] == "x"
+    assert list(inspect.signature(newton_core.damped_newton).parameters)[:2] == [
+        "x0", "eval_fn"]
+
+
+def test_installed_tracer_reports_every_layer_metric():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    declared.discard("trace.overhead_s")    # measured by bench/run.py, not the tracer
+    src = os.path.dirname(os.path.dirname(prescurv.__file__))
+    code = ("import json, runpy; import prescurv.cli; "
+            f"t = runpy.run_path({TRACING!r}); tr = t['Tracer'](); t['install'](tr); "
+            "print(json.dumps(sorted(t['layer_metrics'](tr, 0))))")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert set(json.loads(out.stdout.strip().splitlines()[-1])) == declared

@@ -134,6 +134,15 @@ def test_recovery_order_across_refinements():
     assert math.log2(errs[1] / errs[2]) >= 1.8
 
 
+def test_newton_iterations_bounded_under_refinement():
+    # an exact Jacobian keeps Newton quadratic at every resolution
+    for n in (33, 65, 129):
+        prob = cap_problem(n, k=2, q=0.5)
+        _, rep = dirichlet_newton_solve(perturbed_cap_start(prob.grid), prob, tol=1e-10,
+                                        max_iter=60)
+        assert rep.iterations <= 4
+
+
 def test_symmetric_problem_gives_symmetric_solution():
     prob = cap_problem(25, k=2, q=0.5)
     sol, _ = dirichlet_newton_solve(perturbed_cap_start(prob.grid), prob, tol=1e-11)

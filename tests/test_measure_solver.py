@@ -126,7 +126,7 @@ def test_jacobian_matches_directional_differences():
     eval_fn = lambda v: _soft_evaluate(v, prob, phi_vals)
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, ev.residual, eval_fn, jacobian_pattern(groups, reads))
+    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads))
     v = rng.standard_normal(g.n_nodes)
     h = 1e-6
     fd = (eval_fn(x + h * v).residual - eval_fn(x - h * v).residual) / (2 * h)
@@ -164,6 +164,21 @@ def test_homotopy_lands_exactly_on_one():
     ts = [s.t for s in trace.steps]
     assert ts[-1] == 1.0
     assert not any(1.0 - 1e-12 < t < 1.0 for t in ts)
+
+
+def test_homotopy_completes_at_64x128():
+    # the pole-row Jacobian entries scale like 1/(h sin theta)^2; only an
+    # exact Jacobian lets the continuation leave t = 0 at this resolution
+    _, trace = homotopy_solve(make_problem(build_grid(64, 128), phi=PHI_TILT))
+    assert trace.success
+    assert trace.steps[-1].t == 1.0
+    assert not trace.rejections
+
+
+def test_homotopy_newton_iterations_at_32x64():
+    _, trace = homotopy_solve(make_problem(build_grid(32, 64), phi=PHI_TILT))
+    assert trace.steps[-1].t == 1.0
+    assert sum(s.newton_iters for s in trace.steps) <= 20
 
 
 def test_homotopy_solutions_depend_on_p():

@@ -23,6 +23,7 @@ from prescurv.graph_solver import _soft_evaluate as graph_evaluate
 from prescurv.measure_solver import MeasureProblem, _grid_groups
 from prescurv.measure_solver import _soft_evaluate as sphere_evaluate
 from prescurv.newton_core import (
+    COMPLEX_STEP,
     Evaluation,
     SolveReport,
     damped_newton,
@@ -34,7 +35,7 @@ from prescurv.polynomials import Poly3
 from prescurv.sphere_geometry import build_grid
 from prescurv.symmfunc import OperatorSpec
 
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_CBRT_EPS = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 def sphere_case():
@@ -49,12 +50,12 @@ def sphere_case():
     return x, (lambda v: sphere_evaluate(v, prob, phi_vals)), groups, reads
 
 
-def graph_case():
+def graph_case(H=None):
     """9x9 cap problem at a perturbed interior state."""
     cap = CapSolution(2.0)
     grid = RectGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
-    prob = GraphProblem(grid, 2, 0.5, GraphRHS(samples=manufactured_H(cap, 2, 0.5, grid)),
-                        dirichlet_boundary_from(cap, grid))
+    H = H or GraphRHS(samples=manufactured_H(cap, 2, 0.5, grid))
+    prob = GraphProblem(grid, 2, 0.5, H, dirichlet_boundary_from(cap, grid))
     X1, X2 = grid.meshes()
     g = exact_field(cap, grid).g + 0.01 * np.cos(math.pi * X1 / 2) * np.cos(math.pi * X2 / 2)
     x = g[1:-1, 1:-1].ravel()
@@ -62,15 +63,29 @@ def graph_case():
     return x, (lambda v: graph_evaluate(v, prob)), groups, reads
 
 
-def brute_force_jacobian(x, eval_fn):
-    res0 = eval_fn(x).residual
-    J = np.empty((res0.size, x.size))
-    for j in range(x.size):
-        e = _SQRT_EPS * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += e
-        J[:, j] = (eval_fn(xp).residual - res0) / e
-    return J
+def poly_graph_case():
+    """The 9x9 cap state under a polynomial H(x1, x2, g) that depends on g."""
+    return graph_case(GraphRHS(poly=Poly3(((0.05, (0, 0, 0)), (0.1, (0, 0, 1)),
+                                           (0.02, (2, 0, 1)), (-0.01, (0, 1, 0))))))
+
+
+def column_jacobian(x, eval_fn, derivative):
+    """Dense Jacobian, one column at a time: derivative(eval_fn, x, j)."""
+    return np.column_stack([derivative(eval_fn, x, j) for j in range(x.size)])
+
+
+def complex_step_column(eval_fn, x, j):
+    xp = x.astype(complex)
+    xp[j] += 1j * COMPLEX_STEP
+    return eval_fn(xp).residual.imag / COMPLEX_STEP
+
+
+def central_difference_column(eval_fn, x, j):
+    e = _CBRT_EPS * (1.0 + abs(x[j]))
+    xp, xm = x.copy(), x.copy()
+    xp[j] += e
+    xm[j] -= e
+    return (eval_fn(xp).residual - eval_fn(xm).residual) / (2 * e)
 
 
 @pytest.mark.parametrize("case", [sphere_case, graph_case], ids=["sphere", "graph"])
@@ -78,18 +93,30 @@ def test_sparse_jacobian_matches_column_by_column_differences(case):
     x, eval_fn, groups, reads = case()
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, ev.residual, eval_fn, jacobian_pattern(groups, reads))
+    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads))
     assert scipy.sparse.issparse(J)
     assert J.format == "csc"
     assert J.nnz <= 9 * x.size
-    ref = brute_force_jacobian(x, eval_fn)
+    ref = column_jacobian(x, eval_fn, complex_step_column)
     assert np.abs(J.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", [sphere_case, graph_case, poly_graph_case],
+                         ids=["sphere", "graph", "graph-poly-H"])
+def test_jacobian_matches_central_differences(case):
+    # central differences carry an O(h^2) truncation error well below the
+    # bound; forward differences are about 3e-7 off and do not pass
+    x, eval_fn, groups, reads = case()
+    assert eval_fn(x).admissible
+    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads)).toarray()
+    ref = column_jacobian(x, eval_fn, central_difference_column)
+    assert np.abs(J - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_sparse_newton_step_matches_dense_solve():
     x, eval_fn, groups, reads = sphere_case()
     r = eval_fn(x).residual
-    J = fd_jacobian(x, r, eval_fn, jacobian_pattern(groups, reads))
+    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads))
     step = newton_step(J, r)
     dense = np.linalg.solve(J.toarray(), -r)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)

@@ -51,7 +51,7 @@ def test_radial_field_positivity_guard():
 
 def test_constant_field_derivatives_vanish():
     g = build_grid(12, 24)
-    grad, hess = tangential_derivatives(RadialField.constant(g, 3.7))
+    grad, hess = tangential_derivatives(g, RadialField.constant(g, 3.7).rho)
     assert np.abs(grad).max() < 1e-12
     assert np.abs(hess).max() < 1e-12
 
@@ -62,7 +62,7 @@ def test_degree_one_harmonic_hessian():
     for n in (16, 32):
         g = build_grid(n, 2 * n)
         x3 = g.nodes[..., 2]
-        grad, hess = tangential_derivatives(RadialField(g, 2.0 + 0.3 * x3))
+        grad, hess = tangential_derivatives(g, RadialField(g, 2.0 + 0.3 * x3).rho)
         target = -0.3 * x3[..., None, None] * np.eye(2)
         errs.append(np.abs(hess - target).max())
     assert errs[1] < errs[0]
