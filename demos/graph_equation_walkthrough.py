@@ -9,7 +9,6 @@ import numpy as np
 
 from prescurv.graph_solver import (
     CapSolution,
-    GraphField,
     GraphProblem,
     GraphRHS,
     RectGrid,
@@ -18,6 +17,7 @@ from prescurv.graph_solver import (
     dirichlet_newton_solve,
     exact_field,
     manufactured_H,
+    manufactured_start,
 )
 
 cap = CapSolution(2.0)
@@ -29,10 +29,7 @@ for n in (17, 33):
     prob = GraphProblem(grid, 2, 1.0,
                         GraphRHS(samples=manufactured_H(cap, 2, 1.0, grid)),
                         dirichlet_boundary_from(cap, grid))
-    X1, X2 = grid.meshes()
-    bump = 1e-2 * np.sin(math.pi * (X1 + 1) / 2) * np.sin(math.pi * (X2 + 1) / 2)
-    start = GraphField(grid, exact_field(cap, grid).g + bump)
-    sol, rep = dirichlet_newton_solve(start, prob, tol=1e-10)
+    sol, rep = dirichlet_newton_solve(manufactured_start(cap, grid), prob, tol=1e-10)
     err = np.abs(sol.g - exact_field(cap, grid).g).max()
     order = "" if prev is None else f"   order {math.log2(prev / err):.2f}"
     print(f"grid {n:2d}x{n:2d}: {rep.iterations} Newton iterations, "

@@ -35,6 +35,7 @@ from .graph_solver import (
     exact_field,
     graph_shape,
     manufactured_H,
+    manufactured_start,
     _d1,
     _d2,
 )
@@ -42,6 +43,7 @@ from .inequality_lab import (
     SampleConfig,
     check_ivochkina_condition,
     run_campaign,
+    write_campaign_csv,
 )
 from .measure_solver import (
     HomotopySchedule,
@@ -263,15 +265,10 @@ def _parse_graph(problem, solver, seed):
     else:
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")
     prob = GraphProblem(grid, k, q, rhs, boundary)
-    perturb = float(solver.get("perturb_start", 1e-2))
-    if surface is not None:
-        X1, X2 = grid.meshes()
-        bump = (perturb * np.sin(math.pi * (X1 - grid.a) / (grid.b - grid.a))
-                * np.sin(math.pi * (X2 - grid.c) / (grid.d - grid.c)))
-        start = GraphField(grid, exact_field(surface, grid).g + bump)
-    else:
+    if surface is None:
         raise ConfigError("problem: polynomial-H runs need a manufactured "
                           "surface start; supply H.kind = 'manufactured'")
+    start = manufactured_start(surface, grid, float(solver.get("perturb_start", 1e-2)))
     return GraphRun(problem=prob, surface=surface, start=start,
                     tol=float(solver.get("tol", 1e-9)),
                     max_iter=int(solver.get("max_iter", 40)))
@@ -402,12 +399,9 @@ def _graph_solution_csv(field, prob, path):
     D2g[..., 1, 0] = mixed
     lam, A = graph_shape(Dg, D2g)
     X1, X2 = grid.meshes()
-    rows = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            rows.append((X1[i, j], X2[i, j], g[i, j], lam[i, j, 0], lam[i, j, 1],
-                         A[i, j]))
-    write_csv(path, ["x1", "x2", "g", "lambda1", "lambda2", "A_norm"], rows)
+    columns = (X1, X2, g, lam[..., 0], lam[..., 1], A)
+    write_csv(path, ["x1", "x2", "g", "lambda1", "lambda2", "A_norm"],
+              zip(*(c.ravel().tolist() for c in columns)))
 
 
 def _run_graph(run, out_dir, quiet, echo=None):
@@ -451,22 +445,8 @@ def _run_inequalities(run, out_dir, quiet, echo=None):
             print(f"campaign n={cfg.n} k={cfg.k}: "
                   f"{'clean' if s.clean else 'HARD FAILURES'}")
     if run.write_records and all_records:
-        nmax = max(cfg.n for cfg in run.configs)
-        header = (["kind", "n", "k", "alpha", "seed_index", "lhs", "rhs", "margin",
-                   "pass", "inconclusive"]
-                  + [f"lambda_{i + 1}" for i in range(nmax)]
-                  + [f"B_{i + 1}{j + 1}" for i in range(nmax) for j in range(i, nmax)])
-        rows = []
-        for r in all_records:
-            row = [r.kind, r.n, r.k, float(r.alpha), r.seed_index, float(r.lhs),
-                   float(r.rhs), float(r.margin), r.passed, r.inconclusive]
-            lam = list(r.lam) + [""] * (nmax - r.n)
-            row += [float(v) if v != "" else "" for v in lam]
-            for i in range(nmax):
-                for j in range(i, nmax):
-                    row.append(float(r.B[i, j]) if i < r.n and j < r.n else "")
-            rows.append(row)
-        write_csv(os.path.join(out_dir, "campaign.csv"), header, rows)
+        widest = max(run.configs, key=lambda cfg: cfg.n)
+        write_campaign_csv(all_records, widest, os.path.join(out_dir, "campaign.csv"))
     ivo_results = []
     for entry in run.ivochkina:
         rep = check_ivochkina_condition(entry["k"], entry["q"], entry["p_box"],
@@ -568,11 +548,8 @@ def _run_study(run, out_dir, quiet, echo=None):
                     prob = GraphProblem(grid, k, q,
                                         GraphRHS(samples=manufactured_H(surface, k, q, grid)),
                                         dirichlet_boundary_from(surface, grid))
-                X1, X2 = grid.meshes()
-                bump = (1e-2 * np.sin(math.pi * (X1 - grid.a) / (grid.b - grid.a))
-                        * np.sin(math.pi * (X2 - grid.c) / (grid.d - grid.c)))
-                start = GraphField(grid, exact_field(surface, grid).g + bump)
-                sol, _ = dirichlet_newton_solve(start, prob, tol=tol)
+                sol, _ = dirichlet_newton_solve(manufactured_start(surface, grid), prob,
+                                                tol=tol)
                 err = float(np.abs(sol.g - exact_field(surface, grid).g).max())
                 rows.append((nx, ny, err, _order_cell(prev, err)))
                 prev = err

@@ -313,6 +313,16 @@ def dirichlet_boundary_from(solution, grid):
     return solution.height(X1, X2)
 
 
+def manufactured_start(solution, grid, amplitude=1e-2):
+    """Newton start for a manufactured problem: the exact heights plus the
+    bump amplitude * sin(pi s) sin(pi t), with s, t the rectangle's unit
+    coordinates; the bump vanishes on the boundary up to rounding."""
+    X1, X2 = grid.meshes()
+    bump = (amplitude * np.sin(math.pi * (X1 - grid.a) / (grid.b - grid.a))
+            * np.sin(math.pi * (X2 - grid.c) / (grid.d - grid.c)))
+    return GraphField(grid, solution.height(X1, X2) + bump)
+
+
 # ---------------------------------------------------------------------------
 # solver
 
@@ -440,12 +450,9 @@ def bound_probe_campaign(qs, grid_sizes, k=2, radius=2.0, bounds=(-1.0, 1.0, -1.
                 warnings.simplefilter("ignore")
                 prob = GraphProblem(grid, k, q, GraphRHS(samples=manufactured_H(cap, k, q, grid)),
                                     dirichlet_boundary_from(cap, grid))
-            X1, X2 = grid.meshes()
-            bump = (perturbation * np.sin(math.pi * (X1 - bounds[0]) / (bounds[1] - bounds[0]))
-                    * np.sin(math.pi * (X2 - bounds[2]) / (bounds[3] - bounds[2])))
-            start = GraphField(grid, exact_field(cap, grid).g + bump)
             try:
-                sol, _ = dirichlet_newton_solve(start, prob, tol=tol, max_iter=max_iter)
+                sol, _ = dirichlet_newton_solve(manufactured_start(cap, grid, perturbation),
+                                                prob, tol=tol, max_iter=max_iter)
                 probe = curvature_bound_probe(sol, prob)
                 rows.append(CampaignRow(q, nx, ny, probe.sup_interior_A,
                                         probe.sup_boundary_A, probe.ratio, True))

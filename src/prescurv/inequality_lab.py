@@ -19,13 +19,13 @@ to the byte.  For gll_sum3 rows the CSV stores the first of the three
 directions; the other two are reproducible from the seed.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SamplingError
+from .reporting import format_cells, write_csv
 from .symmfunc import in_gamma_k, sigma, sigma_grad, sigma_hess_dir
 
 _REJECTION_CAP = 20000
@@ -160,17 +160,26 @@ def _ratio_alpha_d2(lam, B, alphas, k):
     norm_1 = (s1 / n) ** k
     inconclusive |= norm_k < 1e-8 * norm_1
     offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+    def nodes_spectra(idx):
+        t = h[idx, None] * offsets[None, :]
+        return np.linalg.eigvalsh(A[idx, None] + t[..., None, None] * B[idx, None])
+
+    # Only the samples whose step was just halved are solved again; LAPACK
+    # treats each matrix on its own, so the spectra do not depend on which
+    # samples share a call.
+    active = np.arange(S)
+    eig = np.empty((S, len(offsets), n))
     for _ in range(8):
-        t = h[:, None] * offsets[None, :]
-        eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
-        bad = ~in_gamma_k(eig, k, return_margin=False).all(axis=1)
+        eig[active] = nodes_spectra(active)
+        bad = ~in_gamma_k(eig[active], k, return_margin=False).all(axis=1)
         if not bad.any():
             break
-        h = np.where(bad, 0.5 * h, h)
+        active = active[bad]
+        h[active] *= 0.5
     else:
-        inconclusive |= bad
-    t = h[:, None] * offsets[None, :]
-    eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
+        inconclusive[active] = True
+        eig[active] = nodes_spectra(active)
     s1t = sigma(eig, 1)
     skt = sigma(eig, k)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,19 +361,33 @@ def run_campaign(cfg, keep_records=False, csv_path=None):
 
 
 def write_campaign_csv(records, cfg, path):
-    """One row per CheckRecord, floats at 17 significant digits."""
+    """One row per CheckRecord, floats at 17 significant digits.
+
+    Columns are laid out for dimension cfg.n; records of a smaller n leave
+    the lambda and B cells they do not have empty, so the campaigns of
+    several (n, k) pairs share one file when cfg is the widest of them.
+    """
     n = cfg.n
     header = (["kind", "n", "k", "alpha", "seed_index", "lhs", "rhs", "margin",
                "pass", "inconclusive"]
               + [f"lambda_{i + 1}" for i in range(n)]
               + [f"B_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in records:
-            row = [r.kind, r.n, r.k, f"{r.alpha:.17g}", r.seed_index,
-                   f"{r.lhs:.17g}", f"{r.rhs:.17g}", f"{r.margin:.17g}",
-                   int(r.passed), int(r.inconclusive)]
-            row += [f"{v:.17g}" for v in r.lam]
-            row += [f"{r.B[i, j]:.17g}" for i in range(n) for j in range(i, n)]
-            writer.writerow(row)
+    # A sample's lambda/B cells repeat on each of its 3 * len(alpha_list)
+    # rows: format them once per distinct (lambda, B) content.
+    blocks = {}
+
+    def block(r):
+        key = (r.lam.tobytes(), r.B.tobytes())
+        text = blocks.get(key)
+        if text is None:
+            m = r.n
+            cells = [float(v) for v in r.lam] + [""] * (n - m)
+            cells += [float(r.B[i, j]) if j < m else ""
+                      for i in range(n) for j in range(i, n)]
+            text = blocks[key] = format_cells(cells)
+        return text
+
+    rows = ((r.kind, r.n, r.k, float(r.alpha), r.seed_index, float(r.lhs),
+             float(r.rhs), float(r.margin), bool(r.passed), bool(r.inconclusive),
+             block(r)) for r in records)
+    write_csv(path, header, rows)

@@ -7,16 +7,13 @@ floats use Python's shortest round-trip representation, which is equally
 bit-faithful on reload.
 """
 
+import functools
 import hashlib
 import json
 import os
 from datetime import datetime, timezone
 
 from . import __version__
-
-
-def fmt(x):
-    return f"{x:.17g}"
 
 
 def sha256_file(path):
@@ -33,20 +30,25 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+@functools.lru_cache(maxsize=256)
+def _cells_template(types):
+    """'%' template of one CSV row from its cell types: bool as 0/1, floats
+    (numpy's included) at 17 significant digits, anything else by str()."""
+    return ",".join("%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float)
+                    else "%s" for t in types)
+
+
+def format_cells(cells):
+    """One CSV row of mixed scalars, as write_csv prints it (no newline)."""
+    cells = tuple(cells)
+    return _cells_template(tuple(map(type, cells))) % cells
+
+
 def write_csv(path, header, rows):
     """Rows of mixed scalars; floats formatted at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, bool):
-                    cells.append(str(int(v)))
-                elif isinstance(v, float):
-                    cells.append(fmt(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(format_cells(row) + "\n" for row in rows)
 
 
 def write_manifest(out_dir, config_echo, input_hashes, started):

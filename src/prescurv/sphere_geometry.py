@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import StarshapednessError
 from .mat2 import eigvalsh_sym, inv_sqrt_spd, sym2
+from .reporting import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +483,8 @@ def export_obj(geom, path):
 def export_csv(geom, op, path):
     """Per-node CSV: theta, phi, rho, u, lambda1, lambda2, sigma_k."""
     grid = geom.grid
-    fk = op.value_on_spectrum(geom.principal)
-    with open(path, "w") as fh:
-        fh.write("theta,phi,rho,u,lambda1,lambda2,sigma_k\n")
-        for i in range(grid.n_theta):
-            for j in range(grid.n_phi):
-                row = (grid.theta[i], grid.phi[j], geom.field.rho[i, j], geom.u[i, j],
-                       geom.principal[i, j, 0], geom.principal[i, j, 1], fk[i, j])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    columns = (theta, phi, geom.field.rho, geom.u, geom.principal[..., 0],
+               geom.principal[..., 1], op.value_on_spectrum(geom.principal))
+    write_csv(path, ["theta", "phi", "rho", "u", "lambda1", "lambda2", "sigma_k"],
+              zip(*(c.ravel().tolist() for c in columns)))

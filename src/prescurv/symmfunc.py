@@ -144,13 +144,33 @@ def in_gamma_k(values, k, return_margin=True):
     n = values.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} out of range 1..{n}")
-    margin = cone_margin(sigma(values, l) for l in range(1, k + 1))
-    ok = margin > 0.0
     if values.ndim == 1:
-        ok, margin = bool(ok), float(margin)
+        ok, margin = _in_gamma_k_scalar(values.tolist(), k)
+    else:
+        margin = cone_margin(sigma(values, l) for l in range(1, k + 1))
+        ok = margin > 0.0
     if return_margin:
         return ok, margin
     return ok
+
+
+def _in_gamma_k_scalar(values, k):
+    """(ok, margin) of one spectrum given as Python floats.
+
+    One pass of sigma's recurrence up to e_k: e_l for l < k sees the same
+    operations in the same order as sigma(values, l), and the running
+    minimum keeps np.minimum's choice (the later value on ties, NaN wins),
+    so the result equals the batched path's bit for bit.
+    """
+    e = [1.0] + [0.0] * k
+    for i, x in enumerate(values):
+        for j in range(min(i + 1, k), 0, -1):
+            e[j] = e[j] + x * e[j - 1]
+    margin = e[1]
+    for v in e[2:]:
+        if not (margin < v or margin != margin):
+            margin = v
+    return margin > 0.0, margin
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import sys
 
 import prescurv
 from prescurv import graph_solver, inequality_lab, measure_solver, newton_core
+from prescurv.cli import parse_config
 from prescurv.sphere_geometry import SphericalGrid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,16 +48,52 @@ def test_traced_call_signatures():
         "x0", "eval_fn"]
 
 
-def test_installed_tracer_reports_every_layer_metric():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        declared = {m["name"] for m in json.load(fh)["per_layer"]}
-    declared.discard("trace.overhead_s")    # measured by bench/run.py, not the tracer
+def traced_metrics(run_code=""):
+    """Layer metrics of a fresh process that installs the tracer after
+    importing prescurv.cli and then executes run_code."""
     src = os.path.dirname(os.path.dirname(prescurv.__file__))
-    code = ("import json, runpy; import prescurv.cli; "
-            f"t = runpy.run_path({TRACING!r}); tr = t['Tracer'](); t['install'](tr); "
-            "print(json.dumps(sorted(t['layer_metrics'](tr, 0))))")
+    code = ("import json, runpy; import prescurv.cli\n"
+            f"t = runpy.run_path({TRACING!r}); tr = t['Tracer'](); t['install'](tr)\n"
+            f"{run_code}\nprint(json.dumps(t['layer_metrics'](tr, 0)))")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert set(json.loads(out.stdout.strip().splitlines()[-1])) == declared
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_installed_tracer_reports_every_layer_metric():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = {m["name"] for m in json.load(fh)["per_layer"]}
+    declared.discard("trace.overhead_s")    # measured by bench/run.py, not the tracer
+    assert set(traced_metrics()) == declared
+
+
+def test_traced_lab_campaign_counts_every_sampler_cone_test(tmp_path, monkeypatch):
+    # sample_attempts counts the in_gamma_k calls made inside sample_gamma_k,
+    # so a sampler that stops calling in_gamma_k reports no attempts
+    samples = 20
+    config = tmp_path / "lab.json"
+    config.write_text(json.dumps({
+        "mode": "verify-inequalities", "seed": 3,
+        "problem": {"pairs": [[3, 2], [5, 3]], "sample_count": samples,
+                    "alpha_list": [1.0]}}))
+    metrics = traced_metrics(
+        f"prescurv.cli.run(prescurv.cli.parse_config({str(config)!r}), "
+        f"{str(tmp_path / 'out')!r}, quiet=True)")
+    calls = 0
+    cone_test = inequality_lab.in_gamma_k
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return cone_test(*args, **kwargs)
+
+    monkeypatch.setattr(inequality_lab, "in_gamma_k", counted)
+    configs = parse_config(str(config)).payload.configs
+    for cfg in configs:
+        for i in range(samples):
+            inequality_lab.sample_gamma_k(cfg, inequality_lab.sample_rng(cfg, i))
+    assert metrics["inequality_lab.sample_attempts"] == calls
+    assert calls >= samples * len(configs)
+    assert metrics["inequality_lab.sample_accept_ratio"] == samples * len(configs) / calls

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -137,6 +139,41 @@ def test_inequality_run_writes_summary_and_campaign(tmp_path):
     header = (out / "campaign.csv").read_text().splitlines()[0]
     assert header.startswith("kind,n,k,alpha,seed_index,lhs,rhs,margin,pass")
     assert "lambda_4" in header
+
+
+def test_campaign_csv_bytes_match_independent_formatter(tmp_path):
+    # two pairs of different n, so the n = 3 rows carry empty padded cells
+    from prescurv.inequality_lab import SampleConfig, run_campaign
+
+    pairs, count, seed, alphas = [(3, 2), (5, 3)], 12, 8, (0.5, 2.0)
+    path = write_config(tmp_path, {
+        "mode": "verify-inequalities",
+        "seed": seed,
+        "problem": {"pairs": [list(p) for p in pairs], "sample_count": count,
+                    "alpha_list": list(alphas)},
+    })
+    out = tmp_path / "out"
+    assert main(["verify-inequalities", "--config", path, "--out", str(out),
+                 "--quiet"]) == 0
+    width = max(n for n, _ in pairs)
+    expect = io.StringIO()
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(["kind", "n", "k", "alpha", "seed_index", "lhs", "rhs", "margin",
+                     "pass", "inconclusive"]
+                    + [f"lambda_{i + 1}" for i in range(width)]
+                    + [f"B_{i + 1}{j + 1}" for i in range(width) for j in range(i, width)])
+    for n, k in pairs:
+        cfg = SampleConfig(n=n, k=k, alpha_list=alphas, sample_count=count, seed=seed)
+        for r in run_campaign(cfg, keep_records=True).records:
+            lam = [f"{v:.17g}" for v in r.lam] + [""] * (width - n)
+            B = [f"{r.B[i, j]:.17g}" if j < n else ""
+                 for i in range(width) for j in range(i, width)]
+            writer.writerow([r.kind, r.n, r.k, f"{r.alpha:.17g}", r.seed_index,
+                             f"{r.lhs:.17g}", f"{r.rhs:.17g}", f"{r.margin:.17g}",
+                             int(r.passed), int(r.inconclusive)] + lam + B)
+    text = (out / "campaign.csv").read_text()
+    assert text.count("\n") == 1 + 3 * len(alphas) * count * len(pairs)
+    assert text == expect.getvalue()
 
 
 def test_nonconvergence_exit_code(tmp_path):

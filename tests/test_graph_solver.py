@@ -19,6 +19,7 @@ from prescurv.graph_solver import (
     graph_residual,
     graph_shape,
     manufactured_H,
+    manufactured_start,
 )
 from prescurv.polynomials import Poly3
 
@@ -38,6 +39,14 @@ def perturbed_cap_start(grid, amp=1e-2):
     bump = amp * np.sin(math.pi * (X1 + 1) / 2) * np.sin(math.pi * (X2 + 1) / 2)
     return GraphField(grid, exact_field(CAP, grid).g + bump)
 
+
+
+def test_manufactured_start_is_exact_surface_plus_bump():
+    grid = RectGrid(*SQUARE, 9, 11)
+    start = manufactured_start(CAP, grid)
+    assert np.array_equal(start.g, perturbed_cap_start(grid).g)
+    mask = grid.boundary_mask()
+    assert np.allclose(start.g[mask], exact_field(CAP, grid).g[mask], rtol=0, atol=1e-17)
 
 def test_graph_shape_cap_apex():
     lam, A = graph_shape(np.zeros(2), -0.5 * np.eye(2))

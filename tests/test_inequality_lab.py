@@ -1,10 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from prescurv.inequality_lab import (
+    _STENCIL5,
     SampleConfig,
+    _diag_embed,
+    _ratio_alpha_d2,
     check_gll,
     check_ivochkina_condition,
     check_krylov_convexity,
@@ -111,6 +115,77 @@ def test_krylov_random_samples_nonnegative():
         B = draw_direction(cfg, gen)
         value, rec = check_krylov_convexity(lam, B, 1.0, cfg.k)
         assert rec.passed or rec.inconclusive
+
+
+def ratio_alpha_d2_full_batch(lam, B, alphas, k):
+    """_ratio_alpha_d2 with its former step control, which solved every
+    sample on each pass and once more after the loop; also returns how
+    often each sample's step was halved."""
+    S, n = lam.shape
+    A = _diag_embed(lam)
+    bnorm = np.sqrt(np.sum(B * B, axis=(-2, -1)))
+    scale = np.abs(lam).max(axis=-1)
+    h = 0.02 * (1.0 + scale) / (1.0 + bnorm)
+    halvings = np.zeros(S, dtype=int)
+    inconclusive = np.zeros(S, dtype=bool)
+    s1 = sigma(lam, 1)
+    sk = sigma(lam, k)
+    inconclusive |= sk / math.comb(n, k) < 1e-8 * (s1 / n) ** k
+    offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    for _ in range(8):
+        t = h[:, None] * offsets[None, :]
+        eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
+        bad = ~in_gamma_k(eig, k, return_margin=False).all(axis=1)
+        if not bad.any():
+            break
+        h = np.where(bad, 0.5 * h, h)
+        halvings += bad
+    else:
+        inconclusive |= bad
+    t = h[:, None] * offsets[None, :]
+    eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
+    s1t = sigma(eig, 1)
+    skt = sigma(eig, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(skt > 0.0, s1t / np.where(skt > 0.0, skt, 1.0), np.nan)
+    values = np.empty((len(alphas), S))
+    errs = np.empty((len(alphas), S))
+    for ia, alpha in enumerate(alphas):
+        f = ratio**alpha
+        d_h = (f[:, [0, 1, 3, 5, 6]] @ _STENCIL5) / (12.0 * h**2)
+        d_h2 = (f[:, [1, 2, 3, 4, 5]] @ _STENCIL5) / (12.0 * (0.5 * h) ** 2)
+        values[ia] = d_h2
+        errs[ia] = np.abs(d_h - d_h2) / 15.0
+    inconclusive = inconclusive | ~np.isfinite(values).all(axis=0)
+    return values, errs, inconclusive, halvings
+
+
+def test_ratio_step_control_matches_full_batch_solves():
+    cfg = SampleConfig(n=3, k=2, sample_count=1, seed=61)
+    lam, B = [], []
+    for i in range(300):
+        gen = sample_rng(cfg, i)
+        lam.append(sample_gamma_k(cfg, gen))
+        B.append(draw_direction(cfg, gen))
+    # sigma_2(1, 1, -0.5 + e + t) = 2 (e + t) along B = e_3 e_3^T, and the
+    # first step is h = 0.02: the node at -2h leaves the cone until 2h < e.
+    # That takes two halvings for e = 0.012; e = 2.5e-4 is still outside at
+    # the eighth pass and inside at the final step h = 0.02 / 256; e = 1e-13
+    # never gets inside.
+    for e in (0.012, 2.5e-4, 1e-13):
+        lam.append(np.array([1.0, 1.0, -0.5 + e]))
+        B.append(np.diag([0.0, 0.0, 1.0]))
+    lam, B = np.array(lam), np.array(B)
+    alphas = [0.25, 0.5, 1.0, 2.0]
+    values, errs, inconclusive = _ratio_alpha_d2(lam, B, alphas, 2)
+    want_values, want_errs, want_inconclusive, halvings = ratio_alpha_d2_full_batch(
+        lam, B, alphas, 2)
+    assert list(halvings[-3:]) == [2, 8, 8]
+    assert 0 < np.count_nonzero(halvings[:-3]) < len(halvings) - 3
+    assert np.isfinite(want_values[:, -2]).all() and want_inconclusive[-2]
+    assert np.array_equal(values, want_values, equal_nan=True)
+    assert np.array_equal(errs, want_errs, equal_nan=True)
+    assert np.array_equal(inconclusive, want_inconclusive)
 
 
 def test_ivochkina_boundary_cases():

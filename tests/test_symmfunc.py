@@ -157,6 +157,29 @@ def test_gamma_k_membership():
     assert margin == pytest.approx(-0.1)
 
 
+def test_gamma_k_single_spectrum_matches_batched_path():
+    # the 1-D path runs on Python floats; the batched numpy path is its oracle
+    rng = np.random.default_rng(53)
+    for n in range(2, 9):
+        spectra = [rng.uniform(-1.0, 2.0, size=n) for _ in range(40)]
+        with_zeros = rng.uniform(-1.0, 2.0, size=(10, n))
+        with_zeros[np.arange(10), rng.integers(n, size=10)] = 0.0
+        spectra += list(with_zeros) + [np.zeros(n)]
+        for k in range(2, n + 1):
+            # sigma_k(1, ..., 1, t) = 0 at t = -(n - k)/k; (1, -1, 0, ...) has sigma_1 = 0
+            edge = np.ones(n)
+            edge[-1] = -(n - k) / k
+            odd = np.zeros(n)
+            odd[:2] = (1.0, -1.0)
+            for lam in spectra + [edge, edge[::-1].copy(), odd]:
+                ok, margin = in_gamma_k(lam, k)
+                ok_b, margin_b = in_gamma_k(lam[None, :], k)
+                assert type(ok) is bool and type(margin) is float
+                assert ok == bool(ok_b[0]) and margin == float(margin_b[0])
+                assert in_gamma_k(lam, k, return_margin=False) == ok
+    assert in_gamma_k(np.array([1.0, 1.0, -0.5]), 2) == (False, 0.0)
+
+
 def test_gamma_cone_nesting():
     rng = np.random.default_rng(31)
     for _ in range(200):
