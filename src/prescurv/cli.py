@@ -240,22 +240,18 @@ def _parse_graph(problem, solver, seed):
     q = float(_require(problem, "q", "problem"))
     H_spec = _require(problem, "H", "problem")
     _check_keys(H_spec, {"kind", "terms", "surface"}, "problem.H")
-    surface = None
-    if _require(H_spec, "kind", "problem.H") == "poly":
-        rhs = GraphRHS(poly=_build_poly(_require(H_spec, "terms", "problem.H"),
-                                        "problem.H.terms"))
-    elif H_spec["kind"] == "manufactured":
-        surface = _build_surface(_require(H_spec, "surface", "problem.H"),
-                                 "problem.H.surface")
-        rhs = GraphRHS(samples=manufactured_H(surface, k, q, grid))
-    else:
+    H_kind = _require(H_spec, "kind", "problem.H")
+    if H_kind == "poly":
+        raise ConfigError("problem: polynomial-H runs need a manufactured "
+                          "surface start; supply H.kind = 'manufactured'")
+    if H_kind != "manufactured":
         raise ConfigError("problem.H.kind must be 'poly' or 'manufactured'")
+    surface = _build_surface(_require(H_spec, "surface", "problem.H"),
+                             "problem.H.surface")
+    rhs = GraphRHS(samples=manufactured_H(surface, k, q, grid))
     bnd_spec = _require(problem, "boundary", "problem")
     _check_keys(bnd_spec, {"kind", "terms"}, "problem.boundary")
     if _require(bnd_spec, "kind", "problem.boundary") == "surface":
-        if surface is None:
-            raise ConfigError("problem.boundary: 'surface' boundary needs a "
-                              "manufactured H block")
         boundary = dirichlet_boundary_from(surface, grid)
     elif bnd_spec["kind"] == "poly":
         bpoly = _build_poly(_require(bnd_spec, "terms", "problem.boundary"),
@@ -265,9 +261,6 @@ def _parse_graph(problem, solver, seed):
     else:
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")
     prob = GraphProblem(grid, k, q, rhs, boundary)
-    if surface is None:
-        raise ConfigError("problem: polynomial-H runs need a manufactured "
-                          "surface start; supply H.kind = 'manufactured'")
     start = manufactured_start(surface, grid, float(solver.get("perturb_start", 1e-2)))
     return GraphRun(problem=prob, surface=surface, start=start,
                     tol=float(solver.get("tol", 1e-9)),

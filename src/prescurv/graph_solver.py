@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConeViolationError, ConfigError, ConstructionError
 from .mat2 import eigvalsh_sym, inv_sqrt_spd, pencil_sigmas, sym2
-from .newton_core import Evaluation, damped_newton
+from .newton_core import Evaluation, damped_newton, greedy_groups, grid_pattern
 from .symmfunc import cone_margin
 
 GRAPH_DIM = 2
@@ -327,36 +327,25 @@ def manufactured_start(solution, grid, amplitude=1e-2):
 # solver
 
 
-_GROUP_CACHE = {}
-
-
-def _rect_groups(grid):
-    key = (grid.nx, grid.ny)
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
+def _interior_neighbors(grid):
+    """Read table of the interior unknowns: row (i, j) lists the interior
+    nodes of its 3x3 stencil; a read that falls on the Dirichlet ring is
+    data, not an unknown, and repeats the row's own index instead."""
     mx, my = grid.nx - 2, grid.ny - 2
+    d = np.array([-1, 0, 1])
+    i = np.arange(mx)[:, None, None, None]
+    j = np.arange(my)[None, :, None, None]
+    ci, cj = i + d[:, None], j + d
+    inside = (ci >= 0) & (ci < mx) & (cj >= 0) & (cj < my)
+    return np.where(inside, ci * my + cj, i * my + j).reshape(mx * my, 9)
 
-    def flat(i, j):
-        return i * my + j
 
-    reads = [set() for _ in range(mx * my)]
-    for i in range(mx):
-        for j in range(my):
-            row = flat(i, j)
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ci, cj = i + di, j + dj
-                    if 0 <= ci < mx and 0 <= cj < my:
-                        reads[flat(ci, cj)].add(row)
-    groups = []
-    for ri in range(3):
-        for rj in range(3):
-            grp = np.array([flat(i, j) for i in range(ri, mx, 3)
-                            for j in range(rj, my, 3)], dtype=np.int64)
-            if grp.size:
-                groups.append(grp)
-    _GROUP_CACHE[key] = (groups, reads)
-    return groups, reads
+def _jacobian_pattern(grid):
+    def build():
+        neigh = _interior_neighbors(grid)
+        return neigh, greedy_groups(neigh)
+
+    return grid_pattern(("rect", grid.nx, grid.ny), build)
 
 
 def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
@@ -368,11 +357,10 @@ def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
     ev0 = _soft_evaluate(start.g[1:-1, 1:-1].ravel(), prob)
     if not ev0.admissible:
         raise ConeViolationError("start field is not admissible on the interior")
-    groups, reads = _rect_groups(prob.grid)
     x, report = damped_newton(
         start.g[1:-1, 1:-1].ravel(),
         lambda x: _soft_evaluate(x, prob),
-        groups, reads, tol, max_iter,
+        _jacobian_pattern(prob.grid), tol, max_iter,
     )
     g = prob.boundary.copy()
     g[1:-1, 1:-1] = x.reshape(prob.grid.nx - 2, prob.grid.ny - 2)

@@ -28,12 +28,18 @@ from .errors import (
     StartRadiusError,
 )
 from .mat2 import pencil_sigmas
-from .newton_core import Evaluation, damped_newton
+from .newton_core import Evaluation, damped_newton, grid_pattern
 from .polynomials import Poly3
 from .sphere_geometry import RadialField, radial_forms, radial_geometry
 from .symmfunc import OperatorSpec, cone_margin, sigma
 
 SURFACE_DIM = 2  # the discretized solver targets radial graphs over S^2
+
+# Continuation step control: the next dt is dt * sqrt(THETA_TARGET / Theta),
+# clipped to [DT_SHRINK, DT_GROWTH], Theta the corrector's observed contraction
+THETA_TARGET = 0.25
+DT_GROWTH = 4.0
+DT_SHRINK = 0.5
 
 
 @dataclass
@@ -75,6 +81,9 @@ class HomotopyStep:
     final_residual: float
     min_cone_margin: float
     min_u: float
+    contraction: float | None = None  # Theta of the corrector; None below two Newton steps
+    dt_factor: float | None = None    # factor the step put on dt; None outside the step control
+    predicted: bool = False           # corrector started from the secant predictor, not u_t
 
 
 @dataclass
@@ -90,7 +99,6 @@ class HomotopySchedule:
     dt_min: float = 1e-4
     newton_tol: float = 1e-9
     newton_max_iter: int = 30
-    oneshot_iters: int = 4   # a step this cheap counts toward dt doubling
 
 
 @dataclass
@@ -159,15 +167,9 @@ def residual(field, prob):
     return ev.residual.reshape(field.grid.n_theta, field.grid.n_phi)
 
 
-_GROUP_CACHE = {}
-
-
-def _grid_groups(grid):
-    # groups depend only on the grid shape, so key by it (ids get recycled)
-    key = (grid.n_theta, grid.n_phi)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = grid.column_groups()
-    return _GROUP_CACHE[key]
+def _jacobian_pattern(grid):
+    return grid_pattern(("sphere", grid.n_theta, grid.n_phi),
+                        lambda: (grid.stencil_neighbors(), grid.column_groups()))
 
 
 def newton_solve(start, prob, tol=1e-10, max_iter=30):
@@ -177,14 +179,13 @@ def newton_solve(start, prob, tol=1e-10, max_iter=30):
     partial report attached when the cone veto or iteration cap bites.
     """
     phi_vals = prob.phi_values()
-    groups, reads = _grid_groups(prob.grid)
     ev0 = _soft_evaluate(start.rho.ravel(), prob, phi_vals)
     if not ev0.admissible:
         raise ConeViolationError("start field is not admissible for the solve")
     x, report = damped_newton(
         start.rho.ravel(),
         lambda x: _soft_evaluate(x, prob, phi_vals),
-        groups, reads, tol, max_iter,
+        _jacobian_pattern(prob.grid), tol, max_iter,
     )
     out = RadialField(prob.grid, x.reshape(start.rho.shape))
     return out, report
@@ -199,48 +200,92 @@ def _problem_at_t(prob, t):
         return MeasureProblem(prob.op, prob.p, Poly3(tuple(terms)), prob.grid)
 
 
+def _contraction(report):
+    """Theta = |du_1| / |du_0| (max norms) of a corrector's first two full
+    Newton steps; None when it took fewer than two."""
+    norms = report.step_norm_history
+    return norms[1] / norms[0] if len(norms) >= 2 else None
+
+
+def _dt_factor(theta):
+    """Step-size factor sqrt(THETA_TARGET / Theta), clipped to
+    [DT_SHRINK, DT_GROWTH]; the full growth when Theta is unknown or 0."""
+    if not theta:
+        return DT_GROWTH
+    return min(max(math.sqrt(THETA_TARGET / theta), DT_SHRINK), DT_GROWTH)
+
+
+def _secant(rho, rho_prev, ratio):
+    """Secant predictor u_t + ratio (u_t - u_prev), ratio = dt / dt_prev."""
+    return rho + ratio * (rho - rho_prev)
+
+
 def homotopy_solve(prob, schedule=None):
     """Continuation from the round-sphere start at t = 0 up to t = 1.
 
-    Advances t adaptively: halve the step when Newton fails, double it
-    after two consecutive cheap successes, floor at schedule.dt_min.  On
-    step underflow a NonconvergenceError carries the partial trace (the
-    expected outcome for out-of-theory parameters such as p > 1).
+    Predictor-corrector (Allgower & Georg, Introduction to Numerical
+    Continuation Methods, SIAM 2003, ch. 2 and 6).  From the second step
+    on, the Newton corrector at t + dt starts from the secant predictor
+    through the last two accepted solutions; a predicted rho that is not
+    admissible is dropped for u_t, which is no rejection.  The next dt is
+    dt * clip(sqrt(THETA_TARGET / Theta), DT_SHRINK, DT_GROWTH), with Theta
+    the contraction of the corrector's first two Newton steps (Deuflhard,
+    Newton Methods for Nonlinear Problems, Springer 2004).  A failed
+    corrector halves dt; below schedule.dt_min a NonconvergenceError
+    carries the partial trace (the expected outcome for out-of-theory
+    parameters such as p > 1).  The last step lands on t = 1 exactly.
     """
     sched = schedule or HomotopySchedule()
     trace = HomotopyTrace()
     r0 = initial_sphere_radius(prob.op, prob.p)
     field = RadialField.constant(prob.grid, r0)
 
-    def solve_at(t, start):
+    def solve_at(t, start, fallback=None):
+        """Corrector at t from start, or from fallback when start is not
+        admissible."""
         sub = _problem_at_t(prob, t)
-        out, rep = newton_solve(start, sub, tol=sched.newton_tol,
-                                max_iter=sched.newton_max_iter)
-        trace.steps.append(HomotopyStep(
+        predicted = fallback is not None
+        try:
+            out, rep = newton_solve(start, sub, tol=sched.newton_tol,
+                                    max_iter=sched.newton_max_iter)
+        except ConeViolationError:
+            if not predicted:
+                raise
+            predicted = False
+            out, rep = newton_solve(fallback, sub, tol=sched.newton_tol,
+                                    max_iter=sched.newton_max_iter)
+        step = HomotopyStep(
             t=t, newton_iters=rep.iterations, final_residual=rep.final_residual,
             min_cone_margin=min(rep.cone_margin_history),
-            min_u=min(a["u_min"] for a in rep.aux_history)))
-        return out, rep
+            min_u=min(a["u_min"] for a in rep.aux_history),
+            contraction=_contraction(rep), predicted=predicted)
+        trace.steps.append(step)
+        return out, step
 
-    field, rep = solve_at(0.0, field)
+    field, _ = solve_at(0.0, field)
 
     # constant data (phi identically 1) makes every phi_t the same problem:
     # carry the t=0 solution straight to t=1
     end = _problem_at_t(prob, 1.0)
     tail = _soft_evaluate(field.rho.ravel(), end, end.phi_values())
     if tail.admissible and float(np.abs(tail.residual).max()) <= sched.newton_tol:
-        field, rep = solve_at(1.0, field)
+        field, _ = solve_at(1.0, field)
         trace.success = True
         return field, trace
 
     t, dt = 0.0, sched.dt_init
-    streak = 0
+    prev = None     # (t, rho) of the accepted step before t
     while t < 1.0:
         t_try = t + dt
         if t_try > 1.0 - 0.5 * sched.dt_min:
             t_try = 1.0     # float sums of dt stop a rounding error short of 1
+        start, fallback = field, None
+        if prev is not None:
+            guess = _secant(field.rho, prev[1], (t_try - t) / (t - prev[0]))
+            if np.all(guess > 0.0):
+                start, fallback = RadialField(prob.grid, guess), field
         try:
-            field_try, rep = solve_at(t_try, field)
+            field_try, step = solve_at(t_try, start, fallback)
         except NonconvergenceError as exc:
             trace.rejections.append((t_try, dt, str(exc)))
             dt *= 0.5
@@ -249,14 +294,10 @@ def homotopy_solve(prob, schedule=None):
                     f"continuation stalled at t = {t:.6f} (step underflow)",
                     diagnostics=trace)
             continue
+        step.dt_factor = _dt_factor(step.contraction)
+        prev = (t, field.rho)
         field, t = field_try, t_try
-        if rep.iterations <= sched.oneshot_iters:
-            streak += 1
-        else:
-            streak = 0
-        if streak >= 2:
-            dt *= 2.0
-            streak = 0
+        dt *= step.dt_factor
     trace.success = True
     return field, trace
 

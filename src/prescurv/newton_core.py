@@ -8,6 +8,12 @@ complex residual evaluation per group.  The Jacobian is stored as a
 scipy.sparse CSC matrix (at most nine nonzeros per row) and factored with
 SuperLU (scipy.sparse.linalg.splu).
 
+A solver describes its grid by a read table: row r of the (n, 9) integer
+array lists the unknowns that residual r reads.  From it come the column
+groups (greedy colouring over the table's conflicts) and the CSC pattern
+with a scatter map per group, built once per grid shape and kept in a
+process-wide cache that both solvers share.
+
 Damping is backtracking with factor 1/2 and Armijo constant 1e-4 on the
 squared residual norm, plus an admissibility veto: a trial point whose
 spectrum leaves the cone (margin <= 0) or whose support function turns
@@ -52,6 +58,10 @@ class SolveReport:
     iterations: int = 0
     residual_history: list = field(default_factory=list)   # max norms
     step_history: list = field(default_factory=list)       # accepted damping factors
+    # per iteration: max norm of the full Newton correction (before damping)
+    # and the number of halvings before the damped step was accepted
+    step_norm_history: list = field(default_factory=list)
+    backtrack_history: list = field(default_factory=list)
     cone_margin_history: list = field(default_factory=list)
     aux_history: list = field(default_factory=list)
     message: str = ""
@@ -73,21 +83,60 @@ class JacobianPattern:
     fills: list          # per group: (columns, rows, slots)
 
 
-def jacobian_pattern(groups, reads):
-    """Pattern for structurally orthogonal column groups; reads[c] holds the
-    residual rows that depend on column c."""
-    n = len(reads)
-    rows_of = [np.sort(np.fromiter(r, dtype=np.int64, count=len(r))) for r in reads]
-    counts = np.array([r.size for r in rows_of], dtype=np.int64)
+def greedy_groups(neigh):
+    """Structurally orthogonal column groups by greedy colouring.
+
+    neigh is a symmetric read table (row r reads column c exactly when row
+    c reads column r, as centred stencils do), so neigh[neigh[c]] lists
+    every column that shares a residual row with column c.  Columns are
+    coloured in index order, each with the smallest colour that none of
+    those columns holds yet.
+    """
+    n = len(neigh)
+    conflicts = neigh[neigh].reshape(n, -1)
+    blank = conflicts.shape[1]     # colour of a column not yet coloured
+    colour = np.full(n, blank, dtype=np.int64)
+    for c in range(n):
+        # at most blank - 1 coloured conflicts: a free colour below blank exists
+        taken = np.zeros(blank + 1, dtype=bool)
+        taken[colour[conflicts[c]]] = True
+        colour[c] = taken.argmin()
+    return [np.flatnonzero(colour == k) for k in range(colour.max() + 1)]
+
+
+def jacobian_pattern(neigh, groups):
+    """Pattern of the Jacobian of residuals with read table neigh, filled
+    through the structurally orthogonal column groups.  Repeated entries
+    in a row of neigh count once."""
+    n = len(neigh)
+    rows = np.repeat(np.arange(n, dtype=np.int64), neigh.shape[1])
+    # column-major order with rows ascending in each column, as CSC stores it
+    cols, indices = np.divmod(np.unique(neigh.ravel() * n + rows), n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(rows_of)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    colour = np.empty(n, dtype=np.int64)
+    for k, grp in enumerate(groups):
+        colour[grp] = k
+    entry_colour = colour[cols]
     fills = []
-    for grp in groups:
-        grp = np.asarray(grp, dtype=np.int64)
-        slots = np.concatenate([np.arange(indptr[c], indptr[c + 1]) for c in grp])
+    for k, grp in enumerate(groups):
+        slots = np.flatnonzero(entry_colour == k)
         fills.append((grp, indices[slots], slots))
     return JacobianPattern(n, indices, indptr, fills)
+
+
+_PATTERNS = {}
+
+
+def grid_pattern(key, build):
+    """The Jacobian pattern of one grid shape, built on its first use.
+
+    key names the shape (grid objects come and go, shapes repeat); build()
+    returns the shape's read table and column groups.
+    """
+    if key not in _PATTERNS:
+        _PATTERNS[key] = jacobian_pattern(*build())
+    return _PATTERNS[key]
 
 
 # The name predates the complex step; bench/tracing.py times and sizes the
@@ -114,10 +163,11 @@ def newton_step(J, residual):
     return splu(J, permc_spec=PERMC_SPEC).solve(-residual)
 
 
-def damped_newton(x0, eval_fn, groups, reads, tol, max_iter):
+def damped_newton(x0, eval_fn, pattern, tol, max_iter):
     """Newton iteration on a flat unknown vector.
 
-    eval_fn(x) -> Evaluation;  the start must be admissible.  Returns
+    eval_fn(x) -> Evaluation;  the start must be admissible.  pattern is
+    the JacobianPattern of the unknowns (see grid_pattern).  Returns
     (x, SolveReport); raises NonconvergenceError (with the report attached
     as diagnostics) when the line search stalls or max_iter runs out.
     """
@@ -127,7 +177,6 @@ def damped_newton(x0, eval_fn, groups, reads, tol, max_iter):
     if not ev.admissible:
         report.message = "start point is not admissible"
         raise NonconvergenceError(report.message, diagnostics=report)
-    pattern = jacobian_pattern(groups, reads)
     rnorm = float(np.abs(ev.residual).max())
     report.residual_history.append(rnorm)
     report.cone_margin_history.append(ev.cone_margin)
@@ -145,7 +194,7 @@ def damped_newton(x0, eval_fn, groups, reads, tol, max_iter):
         f0 = float(ev.residual @ ev.residual)
         s = 1.0
         accepted = None
-        for _ in range(MAX_BACKTRACKS):
+        for halvings in range(MAX_BACKTRACKS):
             trial = x + s * step
             ev_trial = eval_fn(trial)
             f_trial = float(ev_trial.residual @ ev_trial.residual)
@@ -161,6 +210,8 @@ def damped_newton(x0, eval_fn, groups, reads, tol, max_iter):
         report.iterations += 1
         report.residual_history.append(rnorm)
         report.step_history.append(s)
+        report.step_norm_history.append(float(np.abs(step).max()))
+        report.backtrack_history.append(halvings)
         report.cone_margin_history.append(ev.cone_margin)
         report.aux_history.append(ev.aux)
     report.converged = True

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import StarshapednessError
 from .mat2 import eigvalsh_sym, inv_sqrt_spd, sym2
+from .newton_core import greedy_groups
 from .reporting import write_csv
 
 
@@ -110,52 +111,23 @@ class SphericalGrid:
 
     def stencil_neighbors(self):
         """Flat-index table: row i lists every node the second-order
-        derivative stencils at node i read (the node itself included).
-        Pole rows read their cross-pole ghost columns; with n_phi >= 8 the
-        nine reads are always distinct."""
-        nt, np_, shift = self.n_theta, self.n_phi, self.pole_shift
-        table = np.empty((nt * np_, 9), dtype=np.int64)
-        for i in range(nt):
-            for j in range(np_):
-                entries = []
-                for di in (-1, 0, 1):
-                    r = i + di
-                    if r < 0:
-                        r, jc = 0, (j + shift) % np_
-                    elif r >= nt:
-                        r, jc = nt - 1, (j + shift) % np_
-                    else:
-                        jc = j
-                    for dj in (-1, 0, 1):
-                        entries.append(r * np_ + (jc + dj) % np_)
-                table[i * np_ + j] = entries
-        return table
+        derivative stencils at node i read (the node itself included), in
+        row-major order over the 3x3 block.  Pole rows read their cross-pole
+        ghost columns; with n_phi >= 8 the nine reads are always distinct."""
+        nt, np_ = self.n_theta, self.n_phi
+        d = np.array([-1, 0, 1])
+        rows = np.arange(nt)[:, None, None, None] + d[:, None]   # (nt, 1, 3, 1)
+        cols = np.arange(np_)[None, :, None, None]              # (1, np, 1, 1)
+        ghost = (rows < 0) | (rows >= nt)
+        cols = np.where(ghost, cols + self.pole_shift, cols) + d
+        table = np.clip(rows, 0, nt - 1) * np_ + cols % np_
+        return table.reshape(nt * np_, 9)
 
     def column_groups(self):
         """Structurally orthogonal column groups for complex-step Jacobian
         assembly: two columns share a group only if no residual row reads
         both of them."""
-        neigh = self.stencil_neighbors()
-        n = self.n_nodes
-        reads = [set() for _ in range(n)]     # reads[c] = rows that read column c
-        for row in range(n):
-            for c in set(neigh[row]):
-                reads[c].add(row)
-        color = np.full(n, -1, dtype=int)
-        ncolors = 0
-        for c in range(n):
-            used = set()
-            for row in reads[c]:
-                for other in set(neigh[row]):
-                    if color[other] >= 0:
-                        used.add(color[other])
-            k = 0
-            while k in used:
-                k += 1
-            color[c] = k
-            ncolors = max(ncolors, k + 1)
-        groups = [np.nonzero(color == k)[0] for k in range(ncolors)]
-        return groups, reads
+        return greedy_groups(self.stencil_neighbors())
 
 
 def build_grid(n_theta, n_phi):

@@ -61,6 +61,25 @@ def test_parse_rejects_unknown_keys(tmp_path):
         parse_config(write_config(tmp_path, cfg))
 
 
+def test_parse_rejects_poly_H_at_the_H_block(tmp_path, monkeypatch):
+    # no problem is built for a run that cannot start: the boundary block
+    # is never read, so even its absence does not change the message
+    from prescurv import cli
+
+    def no_problem(*args, **kwargs):
+        raise AssertionError("GraphProblem built for a poly-H config")
+
+    monkeypatch.setattr(cli, "GraphProblem", no_problem)
+    cfg = {"mode": "solve-graph",
+           "problem": {"domain": [-1, 1, -1, 1], "grid": [9, 9], "k": 2, "q": 0.5,
+                       "H": {"kind": "poly", "terms": [[1.0, 0, 0, 0]]}}}
+    with pytest.raises(ConfigError, match="polynomial-H runs need a manufactured"):
+        parse_config(write_config(tmp_path, cfg))
+    cfg["problem"]["boundary"] = {"kind": "poly", "terms": [[0.0, 0, 0, 0]]}
+    with pytest.raises(ConfigError, match="polynomial-H runs need a manufactured"):
+        parse_config(write_config(tmp_path, cfg))
+
+
 def test_parse_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n "mode": "solve-measure",\n broken\n}')
@@ -174,6 +193,22 @@ def test_campaign_csv_bytes_match_independent_formatter(tmp_path):
     text = (out / "campaign.csv").read_text()
     assert text.count("\n") == 1 + 3 * len(alphas) * count * len(pairs)
     assert text == expect.getvalue()
+
+
+def test_homotopy_report_records_step_control(tmp_path):
+    cfg = minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], [0.2, 0, 0, 1]])
+    path = write_config(tmp_path, cfg)
+    reports = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"out_{tag}"
+        assert main(["solve-measure", "--config", path, "--out", str(out), "--quiet"]) == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+    steps = json.loads(reports[0])["homotopy"]["steps"]
+    assert [s["t"] for s in steps] == [0.0, 0.1, 0.5, 1.0]
+    assert [s["predicted"] for s in steps] == [False, False, True, True]
+    assert steps[0]["dt_factor"] is None
+    assert all(0 < s["contraction"] < 0.25 and s["dt_factor"] == 4.0 for s in steps[1:])
 
 
 def test_nonconvergence_exit_code(tmp_path):

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from prescurv import measure_solver
 from prescurv.errors import ConeViolationError, ConfigError, StartRadiusError
 from prescurv.measure_solver import (
     HomotopySchedule,
     MeasureProblem,
-    _grid_groups,
+    _jacobian_pattern,
     _soft_evaluate,
     homotopy_solve,
     initial_sphere_radius,
@@ -17,7 +18,7 @@ from prescurv.measure_solver import (
     uniqueness_probe,
     verify_apriori_bounds,
 )
-from prescurv.newton_core import fd_jacobian, jacobian_pattern
+from prescurv.newton_core import fd_jacobian
 from prescurv.polynomials import Poly3
 from prescurv.sphere_geometry import RadialField, build_grid, field_difference
 from prescurv.symmfunc import OperatorSpec
@@ -122,11 +123,10 @@ def test_jacobian_matches_directional_differences():
              + coef[3] * nd[..., 0] * nd[..., 1] + coef[4] * nd[..., 0] * nd[..., 2]
              + coef[5] * nd[..., 1] * nd[..., 2])
     x = (1.0 + bumps).ravel()
-    groups, reads = _grid_groups(g)
     eval_fn = lambda v: _soft_evaluate(v, prob, phi_vals)
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads))
+    J = fd_jacobian(x, eval_fn, _jacobian_pattern(g))
     v = rng.standard_normal(g.n_nodes)
     h = 1e-6
     fd = (eval_fn(x + h * v).residual - eval_fn(x - h * v).residual) / (2 * h)
@@ -158,12 +158,13 @@ def test_homotopy_tilted_density_completes():
 
 
 def test_homotopy_lands_exactly_on_one():
-    # no dt doubling, so t advances by sums of 0.1 that fall short of 1
+    # float sums of dt fall short of 1 by a rounding error unless snapped
     prob = make_problem(build_grid(8, 16), phi=PHI_TILT)
-    _, trace = homotopy_solve(prob, HomotopySchedule(oneshot_iters=0))
-    ts = [s.t for s in trace.steps]
-    assert ts[-1] == 1.0
-    assert not any(1.0 - 1e-12 < t < 1.0 for t in ts)
+    for dt_init in (0.1, 0.3, 0.7):
+        _, trace = homotopy_solve(prob, HomotopySchedule(dt_init=dt_init))
+        ts = [s.t for s in trace.steps]
+        assert ts[-1] == 1.0
+        assert not any(1.0 - 1e-12 < t < 1.0 for t in ts)
 
 
 def test_homotopy_completes_at_64x128():
@@ -173,12 +174,47 @@ def test_homotopy_completes_at_64x128():
     assert trace.success
     assert trace.steps[-1].t == 1.0
     assert not trace.rejections
+    assert sum(s.newton_iters for s in trace.steps) <= 10
 
 
 def test_homotopy_newton_iterations_at_32x64():
     _, trace = homotopy_solve(make_problem(build_grid(32, 64), phi=PHI_TILT))
     assert trace.steps[-1].t == 1.0
-    assert sum(s.newton_iters for s in trace.steps) <= 20
+    assert sum(s.newton_iters for s in trace.steps) <= 10
+
+
+def test_homotopy_step_records_control_data():
+    _, trace = homotopy_solve(make_problem(build_grid(16, 32), phi=PHI_TILT))
+    first, *rest = trace.steps
+    assert (first.t, first.dt_factor, first.predicted) == (0.0, None, False)
+    # the corrector at the first step has no earlier solution to extrapolate
+    assert not rest[0].predicted and all(s.predicted for s in rest[1:])
+    for s in rest:
+        assert 0.5 <= s.dt_factor <= 4.0
+        if s.contraction is not None:
+            assert s.dt_factor == min(max(math.sqrt(0.25 / s.contraction), 0.5), 4.0)
+    ts = [s.t for s in trace.steps]
+    dts = [b - a for a, b in zip(ts, ts[1:])]
+    for s, dt, dt_next in zip(rest, dts, dts[1:-1]):
+        assert dt_next == pytest.approx(dt * s.dt_factor)
+
+
+def test_homotopy_inadmissible_prediction_falls_back_to_u_t(monkeypatch):
+    prob = make_problem(build_grid(12, 24), phi=PHI_TILT)
+    ref, ref_trace = homotopy_solve(prob)
+    x3 = prob.grid.nodes[..., 2]
+    # a predictor that dents the surface far enough to leave Gamma_2, or
+    # to make rho negative, must not cost a rejected step
+    for dent in (0.6, 3.0):
+        monkeypatch.setattr(measure_solver, "_secant",
+                            lambda rho, prev, ratio: rho * (1.0 - dent * x3**8))
+        sol, trace = homotopy_solve(prob)
+        assert trace.success
+        assert not trace.rejections
+        assert not any(s.predicted for s in trace.steps)
+        assert np.abs(residual(sol, prob)).max() <= 1e-8
+        assert np.abs(sol.rho - ref.rho).max() <= 1e-8
+    assert any(s.predicted for s in ref_trace.steps)
 
 
 def test_homotopy_solutions_depend_on_p():

@@ -14,13 +14,14 @@ from prescurv.graph_solver import (
     GraphProblem,
     GraphRHS,
     RectGrid,
-    _rect_groups,
     dirichlet_boundary_from,
     exact_field,
     manufactured_H,
 )
+from prescurv.graph_solver import _jacobian_pattern as graph_pattern
 from prescurv.graph_solver import _soft_evaluate as graph_evaluate
-from prescurv.measure_solver import MeasureProblem, _grid_groups
+from prescurv.measure_solver import MeasureProblem
+from prescurv.measure_solver import _jacobian_pattern as sphere_pattern
 from prescurv.measure_solver import _soft_evaluate as sphere_evaluate
 from prescurv.newton_core import (
     COMPLEX_STEP,
@@ -46,8 +47,7 @@ def sphere_case():
     phi_vals = prob.phi_values()
     nd = g.nodes
     x = (1.0 + 0.04 * nd[..., 0] - 0.03 * nd[..., 1] * nd[..., 2]).ravel()
-    groups, reads = _grid_groups(g)
-    return x, (lambda v: sphere_evaluate(v, prob, phi_vals)), groups, reads
+    return x, (lambda v: sphere_evaluate(v, prob, phi_vals)), sphere_pattern(g)
 
 
 def graph_case(H=None):
@@ -59,8 +59,7 @@ def graph_case(H=None):
     X1, X2 = grid.meshes()
     g = exact_field(cap, grid).g + 0.01 * np.cos(math.pi * X1 / 2) * np.cos(math.pi * X2 / 2)
     x = g[1:-1, 1:-1].ravel()
-    groups, reads = _rect_groups(prob.grid)
-    return x, (lambda v: graph_evaluate(v, prob)), groups, reads
+    return x, (lambda v: graph_evaluate(v, prob)), graph_pattern(grid)
 
 
 def poly_graph_case():
@@ -90,10 +89,10 @@ def central_difference_column(eval_fn, x, j):
 
 @pytest.mark.parametrize("case", [sphere_case, graph_case], ids=["sphere", "graph"])
 def test_sparse_jacobian_matches_column_by_column_differences(case):
-    x, eval_fn, groups, reads = case()
+    x, eval_fn, pattern = case()
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads))
+    J = fd_jacobian(x, eval_fn, pattern)
     assert scipy.sparse.issparse(J)
     assert J.format == "csc"
     assert J.nnz <= 9 * x.size
@@ -106,20 +105,34 @@ def test_sparse_jacobian_matches_column_by_column_differences(case):
 def test_jacobian_matches_central_differences(case):
     # central differences carry an O(h^2) truncation error well below the
     # bound; forward differences are about 3e-7 off and do not pass
-    x, eval_fn, groups, reads = case()
+    x, eval_fn, pattern = case()
     assert eval_fn(x).admissible
-    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads)).toarray()
+    J = fd_jacobian(x, eval_fn, pattern).toarray()
     ref = column_jacobian(x, eval_fn, central_difference_column)
     assert np.abs(J - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_sparse_newton_step_matches_dense_solve():
-    x, eval_fn, groups, reads = sphere_case()
+    x, eval_fn, pattern = sphere_case()
     r = eval_fn(x).residual
-    J = fd_jacobian(x, eval_fn, jacobian_pattern(groups, reads))
+    J = fd_jacobian(x, eval_fn, pattern)
     step = newton_step(J, r)
     dense = np.linalg.solve(J.toarray(), -r)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_report_records_step_norms_and_backtracks():
+    x, eval_fn, pattern = sphere_case()
+    x_exact, _ = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    # three times as far from the solution, the first full step overshoots
+    _, rep = damped_newton(x_exact + 3.0 * (x - x_exact), eval_fn, pattern,
+                           tol=1e-12, max_iter=20)
+    assert rep.iterations == len(rep.step_norm_history) == len(rep.backtrack_history)
+    assert rep.backtrack_history[0] >= 1
+    assert rep.step_history == [0.5 ** b for b in rep.backtrack_history]
+    norms = rep.step_norm_history
+    assert all(b < a for a, b in zip(norms, norms[1:]))
+    assert norms[-1] < 1e-6
 
 
 def test_singular_jacobian_raises_with_report_and_state():
@@ -129,10 +142,10 @@ def test_singular_jacobian_raises_with_report_and_state():
                           True, 1.0, {})
 
     x0 = np.array([2.0, 1.0, 5.0])
-    groups = [np.array([c]) for c in range(3)]
-    reads = [{0, 1, 2}] * 3
+    pattern = jacobian_pattern(np.tile(np.arange(3), (3, 1)),
+                               [np.array([c]) for c in range(3)])
     with pytest.raises(NonconvergenceError, match="singular Jacobian") as info:
-        damped_newton(x0, eval_fn, groups, reads, tol=1e-12, max_iter=5)
+        damped_newton(x0, eval_fn, pattern, tol=1e-12, max_iter=5)
     report, x = info.value.diagnostics
     assert isinstance(report, SolveReport)
     assert report.iterations == 0

@@ -195,7 +195,7 @@ def test_exports(tmp_path):
 
 def test_column_groups_are_structurally_orthogonal():
     g = build_grid(8, 16)
-    groups, reads = g.column_groups()
+    groups = g.column_groups()
     neigh = g.stencil_neighbors()
     seen = np.zeros(g.n_nodes, dtype=int)
     for grp in groups:
