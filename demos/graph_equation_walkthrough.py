@@ -32,7 +32,8 @@ for n in (17, 33):
     sol, rep = dirichlet_newton_solve(manufactured_start(cap, grid), prob, tol=1e-10)
     err = np.abs(sol.g - exact_field(cap, grid).g).max()
     order = "" if prev is None else f"   order {math.log2(prev / err):.2f}"
-    print(f"grid {n:2d}x{n:2d}: {rep.iterations} Newton iterations, "
+    print(f"grid {n:2d}x{n:2d}: {rep.iterations} Newton iterations on "
+          f"{rep.factorizations} factorization(s), "
           f"recovery error {err:.3e}{order}")
     prev = err
 

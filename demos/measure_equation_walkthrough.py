@@ -30,9 +30,10 @@ print("\n=== continuation to a tilted density ===")
 phi = Poly3(((1.0, (0, 0, 0)), (0.2, (0, 0, 1))))  # 1 + 0.2 x3
 prob = MeasureProblem(op, 1.0, phi, grid)
 solution, trace = homotopy_solve(prob)
-print("accepted continuation steps (t, newton iterations, residual):")
+print("accepted continuation steps (t, Newton corrections, factorizations, residual):")
 for s in trace.steps:
-    print(f"  t={s.t:4.2f}  iters={s.newton_iters}  residual={s.final_residual:.2e}  "
+    print(f"  t={s.t:4.2f}  iters={s.newton_iters}  factorizations={s.factorizations}  "
+          f"residual={s.final_residual:.2e}  "
           f"cone margin={s.min_cone_margin:.3f}  min u={s.min_u:.3f}")
 
 bounds = verify_apriori_bounds(solution, prob)

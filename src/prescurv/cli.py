@@ -328,12 +328,17 @@ def _order_cell(prev, cur):
 
 
 def _partial_newton(exc):
-    """Newton block of a failed solve, from the SolveReport that its error
-    carries bare or as (report, x)."""
-    diag = exc.diagnostics
-    rep = diag[0] if isinstance(diag, tuple) else diag
-    return {"iterations": rep.iterations, "residual_history": rep.residual_history,
+    """Newton block of a failed solve, from the (report, x) that its error
+    carries."""
+    rep, _ = exc.diagnostics
+    return {**_newton_counts(rep), "residual_history": rep.residual_history,
             "message": rep.message}
+
+
+def _newton_counts(rep):
+    """Corrections, factorizations and refactor reasons of a SolveReport."""
+    return {"iterations": rep.iterations, "factorizations": rep.factorizations,
+            "refactor_reasons": rep.refactor_reasons}
 
 
 def _run_measure(run, out_dir, quiet, echo=None):
@@ -361,7 +366,7 @@ def _run_measure(run, out_dir, quiet, echo=None):
             field, report = newton_solve(RadialField.constant(run.problem.grid, r0),
                                          run.problem, tol=run.tol,
                                          max_iter=run.max_iter)
-            payload["newton"] = {"iterations": report.iterations,
+            payload["newton"] = {**_newton_counts(report),
                                  "residual_history": report.residual_history}
         except NonconvergenceError as exc:
             exit_code = EXIT_NONCONVERGENCE
@@ -404,7 +409,7 @@ def _run_graph(run, out_dir, quiet, echo=None):
     try:
         field, report = dirichlet_newton_solve(run.start, run.problem,
                                                tol=run.tol, max_iter=run.max_iter)
-        payload["newton"] = {"iterations": report.iterations,
+        payload["newton"] = {**_newton_counts(report),
                              "residual_history": report.residual_history,
                              "min_cone_margin": min(report.cone_margin_history)}
     except NonconvergenceError as exc:

@@ -352,11 +352,9 @@ def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
     """Damped Newton on the interior unknowns, boundary held at the data.
 
     Same contract as the sphere solver: complex-step Jacobian in
-    structurally orthogonal groups, Armijo backtracking, cone veto.
+    structurally orthogonal groups, chord steps, Armijo backtracking, cone
+    veto; ConeViolationError when the start is not admissible.
     """
-    ev0 = _soft_evaluate(start.g[1:-1, 1:-1].ravel(), prob)
-    if not ev0.admissible:
-        raise ConeViolationError("start field is not admissible on the interior")
     x, report = damped_newton(
         start.g[1:-1, 1:-1].ravel(),
         lambda x: _soft_evaluate(x, prob),

@@ -77,7 +77,9 @@ class MeasureProblem:
 @dataclass
 class HomotopyStep:
     t: float
-    newton_iters: int
+    newton_iters: int                 # accepted Newton corrections
+    factorizations: int               # Jacobians built and factored
+    refactor_reasons: list            # why each factorization was made
     final_residual: float
     min_cone_margin: float
     min_u: float
@@ -175,13 +177,11 @@ def _jacobian_pattern(grid):
 def newton_solve(start, prob, tol=1e-10, max_iter=30):
     """Damped Newton from an admissible start field.
 
-    Returns (RadialField, SolveReport); raises NonconvergenceError with the
-    partial report attached when the cone veto or iteration cap bites.
+    Returns (RadialField, SolveReport); raises ConeViolationError when the
+    start is not admissible, and NonconvergenceError with the partial
+    report attached when the cone veto or iteration cap bites.
     """
     phi_vals = prob.phi_values()
-    ev0 = _soft_evaluate(start.rho.ravel(), prob, phi_vals)
-    if not ev0.admissible:
-        raise ConeViolationError("start field is not admissible for the solve")
     x, report = damped_newton(
         start.rho.ravel(),
         lambda x: _soft_evaluate(x, prob, phi_vals),
@@ -201,8 +201,8 @@ def _problem_at_t(prob, t):
 
 
 def _contraction(report):
-    """Theta = |du_1| / |du_0| (max norms) of a corrector's first two full
-    Newton steps; None when it took fewer than two."""
+    """Theta = |du_1| / |du_0| (max norms, before damping) of a corrector's
+    first two Newton corrections; None when it took fewer than two."""
     norms = report.step_norm_history
     return norms[1] / norms[0] if len(norms) >= 2 else None
 
@@ -255,7 +255,8 @@ def homotopy_solve(prob, schedule=None):
             out, rep = newton_solve(fallback, sub, tol=sched.newton_tol,
                                     max_iter=sched.newton_max_iter)
         step = HomotopyStep(
-            t=t, newton_iters=rep.iterations, final_residual=rep.final_residual,
+            t=t, newton_iters=rep.iterations, factorizations=rep.factorizations,
+            refactor_reasons=rep.refactor_reasons, final_residual=rep.final_residual,
             min_cone_margin=min(rep.cone_margin_history),
             min_u=min(a["u_min"] for a in rep.aux_history),
             contraction=_contraction(rep), predicted=predicted)

@@ -1,4 +1,4 @@
-"""Damped Newton iteration shared by the sphere and graph solvers.
+"""Damped chord Newton iteration shared by the sphere and graph solvers.
 
 Both solvers' residuals are analytic in the unknowns, so the Jacobian is
 exact to rounding by the complex step J e = Im R(x + i h e) / h (Squire &
@@ -18,6 +18,17 @@ Damping is backtracking with factor 1/2 and Armijo constant 1e-4 on the
 squared residual norm, plus an admissibility veto: a trial point whose
 spectrum leaves the cone (margin <= 0) or whose support function turns
 nonpositive anywhere is rejected no matter how good its residual.
+
+A factor serves several corrections (chord or Shamanskii Newton:
+Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004, sec.
+2.1; Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003,
+ch. 5).  After a fresh Jacobian and factor at x, later corrections solve
+with the factor in hand.  It is dropped, and J and its factor rebuilt at
+the current x, when a chord step is longer than CHORD_THETA times the
+last accepted step (that step is not taken), when a chord step fails the
+line search at s = 1 (chord steps are never damped), or when the last
+accepted step was damped.  Every rebuild is counted in the report with
+its reason.
 """
 
 import math
@@ -25,9 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonconvergenceError
+from .errors import ConeViolationError, NonconvergenceError
 
 ARMIJO_C = 1e-4
+# a chord step (old factor) is taken only while it is at most this
+# fraction of the last accepted step, in max norm
+CHORD_THETA = 0.1
 MAX_BACKTRACKS = 40
 # Im R(x + i h e) carries no cancellation, so h only has to keep O(h^2)
 # terms below rounding; one fixed step serves every column and scale.
@@ -55,15 +69,19 @@ class Evaluation:
 @dataclass
 class SolveReport:
     converged: bool = False
-    iterations: int = 0
+    iterations: int = 0     # accepted corrections, chord steps included
     residual_history: list = field(default_factory=list)   # max norms
     step_history: list = field(default_factory=list)       # accepted damping factors
-    # per iteration: max norm of the full Newton correction (before damping)
-    # and the number of halvings before the damped step was accepted
+    # per iteration: max norm of the full correction (before damping) and
+    # the number of halvings before the damped step was accepted
     step_norm_history: list = field(default_factory=list)
     backtrack_history: list = field(default_factory=list)
     cone_margin_history: list = field(default_factory=list)
     aux_history: list = field(default_factory=list)
+    # Jacobians built and factored, and why each one was: "start",
+    # "contraction", "chord_rejected" or "damped"
+    factorizations: int = 0
+    refactor_reasons: list = field(default_factory=list)
     message: str = ""
 
     @property
@@ -155,57 +173,63 @@ def fd_jacobian(x, eval_fn, pattern):
     return csc_array((data, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
 
 
-def newton_step(J, residual):
-    """Solve J step = -residual by sparse LU; RuntimeError if J is singular."""
+def factorize(J):
+    """SuperLU factor of the CSC matrix J; RuntimeError if J is singular."""
     # deferred: scipy.sparse.linalg alone takes about 0.3 s to import
     from scipy.sparse.linalg import splu
 
-    return splu(J, permc_spec=PERMC_SPEC).solve(-residual)
+    return splu(J, permc_spec=PERMC_SPEC)
 
 
 def damped_newton(x0, eval_fn, pattern, tol, max_iter):
-    """Newton iteration on a flat unknown vector.
+    """Chord Newton iteration on a flat unknown vector.
 
-    eval_fn(x) -> Evaluation;  the start must be admissible.  pattern is
-    the JacobianPattern of the unknowns (see grid_pattern).  Returns
-    (x, SolveReport); raises NonconvergenceError (with the report attached
-    as diagnostics) when the line search stalls or max_iter runs out.
+    eval_fn(x) -> Evaluation.  pattern is the JacobianPattern of the
+    unknowns (see grid_pattern).  Returns (x, SolveReport); raises
+    ConeViolationError when the start is not admissible, and
+    NonconvergenceError (with (report, x) attached as diagnostics) when
+    the Jacobian is singular, the line search stalls or max_iter runs out.
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport()
     ev = eval_fn(x)
     if not ev.admissible:
-        report.message = "start point is not admissible"
-        raise NonconvergenceError(report.message, diagnostics=report)
+        raise ConeViolationError("start point is not admissible")
     rnorm = float(np.abs(ev.residual).max())
     report.residual_history.append(rnorm)
     report.cone_margin_history.append(ev.cone_margin)
     report.aux_history.append(ev.aux)
+    lu, reason = None, "start"
     while rnorm > tol:
         if report.iterations >= max_iter:
             report.message = f"no convergence in {max_iter} iterations"
             raise NonconvergenceError(report.message, diagnostics=(report, x))
-        J = fd_jacobian(x, eval_fn, pattern)
-        try:
-            step = newton_step(J, ev.residual)
-        except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
-            report.message = f"singular Jacobian: {exc}"
-            raise NonconvergenceError(report.message, diagnostics=(report, x))
-        f0 = float(ev.residual @ ev.residual)
-        s = 1.0
         accepted = None
-        for halvings in range(MAX_BACKTRACKS):
-            trial = x + s * step
-            ev_trial = eval_fn(trial)
-            f_trial = float(ev_trial.residual @ ev_trial.residual)
-            if ev_trial.admissible and f_trial <= (1.0 - 2.0 * ARMIJO_C * s) * f0:
-                accepted = (trial, ev_trial, s)
-                break
-            s *= 0.5
-        if accepted is None:
-            report.message = "line search found no admissible decreasing step"
-            raise NonconvergenceError(report.message, diagnostics=(report, x))
-        x, ev, s = accepted
+        if lu is not None:
+            step = lu.solve(-ev.residual)
+            if not np.abs(step).max() <= CHORD_THETA * report.step_norm_history[-1]:
+                lu, reason = None, "contraction"
+            else:
+                accepted = _line_search(x, step, ev, eval_fn, 1)
+                if accepted is None:
+                    lu, reason = None, "chord_rejected"
+        if lu is None:
+            J = fd_jacobian(x, eval_fn, pattern)
+            try:
+                lu = factorize(J)
+            except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+                report.message = f"singular Jacobian: {exc}"
+                raise NonconvergenceError(report.message, diagnostics=(report, x))
+            report.factorizations += 1
+            report.refactor_reasons.append(reason)
+            step = lu.solve(-ev.residual)
+            accepted = _line_search(x, step, ev, eval_fn, MAX_BACKTRACKS)
+            if accepted is None:
+                report.message = "line search found no admissible decreasing step"
+                raise NonconvergenceError(report.message, diagnostics=(report, x))
+        x, ev, s, halvings = accepted
+        if s < 1.0:
+            lu, reason = None, "damped"
         rnorm = float(np.abs(ev.residual).max())
         report.iterations += 1
         report.residual_history.append(rnorm)
@@ -216,3 +240,18 @@ def damped_newton(x0, eval_fn, pattern, tol, max_iter):
         report.aux_history.append(ev.aux)
     report.converged = True
     return x, report
+
+
+def _line_search(x, step, ev, eval_fn, tries):
+    """First of x + s step, s = 1, 1/2, ... (tries values), that is
+    admissible and passes Armijo: (x, evaluation, s, halvings), or None."""
+    f0 = float(ev.residual @ ev.residual)
+    s = 1.0
+    for halvings in range(tries):
+        trial = x + s * step
+        ev_trial = eval_fn(trial)
+        f_trial = float(ev_trial.residual @ ev_trial.residual)
+        if ev_trial.admissible and f_trial <= (1.0 - 2.0 * ARMIJO_C * s) * f0:
+            return trial, ev_trial, s, halvings
+        s *= 0.5
+    return None

@@ -17,7 +17,9 @@ import sys
 import prescurv
 from prescurv import graph_solver, inequality_lab, measure_solver, newton_core
 from prescurv.cli import parse_config
-from prescurv.sphere_geometry import SphericalGrid
+from prescurv.polynomials import Poly3
+from prescurv.sphere_geometry import SphericalGrid, build_grid
+from prescurv.symmfunc import OperatorSpec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "bench", "tracing.py")
@@ -97,3 +99,25 @@ def test_traced_lab_campaign_counts_every_sampler_cone_test(tmp_path, monkeypatc
     assert metrics["inequality_lab.sample_attempts"] == calls
     assert calls >= samples * len(configs)
     assert metrics["inequality_lab.sample_accept_ratio"] == samples * len(configs) / calls
+
+
+def test_traced_homotopy_counts_factorizations_and_corrections():
+    # jacobian_evals counts fd_jacobian calls and iterations the accepted
+    # corrections; with chord steps they differ, and each must match the
+    # SolveReport counts that the homotopy trace carries
+    metrics = traced_metrics(
+        "from prescurv import measure_solver as ms\n"
+        "from prescurv.polynomials import Poly3\n"
+        "from prescurv.sphere_geometry import build_grid\n"
+        "from prescurv.symmfunc import OperatorSpec\n"
+        "ms.homotopy_solve(ms.MeasureProblem(OperatorSpec('sigma_k', k=2), 1.0, "
+        "Poly3(((1.0, (0, 0, 0)), (0.2, (0, 0, 1)))), build_grid(16, 32)))")
+    _, trace = measure_solver.homotopy_solve(measure_solver.MeasureProblem(
+        OperatorSpec("sigma_k", k=2), 1.0, Poly3(((1.0, (0, 0, 0)), (0.2, (0, 0, 1)))),
+        build_grid(16, 32)))
+    assert not trace.rejections
+    factorizations = sum(s.factorizations for s in trace.steps)
+    corrections = sum(s.newton_iters for s in trace.steps)
+    assert corrections > factorizations > 0
+    assert metrics["newton_core.jacobian_evals"] == factorizations
+    assert metrics["newton_core.iterations"] == corrections

@@ -209,6 +209,10 @@ def test_homotopy_report_records_step_control(tmp_path):
     assert [s["predicted"] for s in steps] == [False, False, True, True]
     assert steps[0]["dt_factor"] is None
     assert all(0 < s["contraction"] < 0.25 and s["dt_factor"] == 4.0 for s in steps[1:])
+    # each corrector factors once, at its start, and takes chord steps after
+    assert [s["factorizations"] for s in steps] == [0, 1, 1, 1]
+    assert [s["refactor_reasons"] for s in steps] == [[], ["start"], ["start"], ["start"]]
+    assert all(s["newton_iters"] > s["factorizations"] for s in steps[1:])
 
 
 def test_nonconvergence_exit_code(tmp_path):
@@ -231,6 +235,7 @@ def test_nonconvergence_report_keeps_partial_newton_block(tmp_path):
     assert code == 2
     newton = json.loads((out / "report.json").read_text())["newton"]
     assert newton["iterations"] == 1
+    assert (newton["factorizations"], newton["refactor_reasons"]) == (1, ["start"])
     assert len(newton["residual_history"]) == 2
     assert newton["message"] == "no convergence in 1 iterations"
 
@@ -279,6 +284,10 @@ def test_graph_cli_run(tmp_path):
     assert probe["ratio"] == pytest.approx(0.4142, abs=5e-3)
     report = json.loads((out / "report.json").read_text())
     assert report["manufactured_error_max"] < 1e-3
+    newton = report["newton"]
+    assert newton["factorizations"] == len(newton["refactor_reasons"]) >= 1
+    assert newton["refactor_reasons"][0] == "start"
+    assert newton["iterations"] >= newton["factorizations"]
 
 
 def test_hard_failure_exit_code(tmp_path, monkeypatch):

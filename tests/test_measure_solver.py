@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -5,7 +6,12 @@ import numpy as np
 import pytest
 
 from prescurv import measure_solver
-from prescurv.errors import ConeViolationError, ConfigError, StartRadiusError
+from prescurv.errors import (
+    ConeViolationError,
+    ConfigError,
+    NonconvergenceError,
+    StartRadiusError,
+)
 from prescurv.measure_solver import (
     HomotopySchedule,
     MeasureProblem,
@@ -18,7 +24,7 @@ from prescurv.measure_solver import (
     uniqueness_probe,
     verify_apriori_bounds,
 )
-from prescurv.newton_core import fd_jacobian
+from prescurv.newton_core import ARMIJO_C, MAX_BACKTRACKS, SolveReport, factorize, fd_jacobian
 from prescurv.polynomials import Poly3
 from prescurv.sphere_geometry import RadialField, build_grid, field_difference
 from prescurv.symmfunc import OperatorSpec
@@ -29,6 +35,59 @@ PHI_TILT = Poly3(((1.0, (0, 0, 0)), (0.2, (0, 0, 1))))
 
 def make_problem(grid, p=1.0, phi=None, op=SIGMA2):
     return MeasureProblem(op, p, phi or Poly3.constant(1.0), grid)
+
+
+@functools.cache
+def tilted_homotopy(n):
+    """Homotopy to the tilted density on the n x 2n grid, solved once per
+    test session (callers only read it)."""
+    return homotopy_solve(make_problem(build_grid(n, 2 * n), phi=PHI_TILT))
+
+
+def full_newton(x0, eval_fn, pattern, tol, max_iter):
+    """Oracle: the damped Newton loop with a fresh Jacobian and factor at
+    every correction."""
+    x = np.asarray(x0, dtype=float).copy()
+    report = SolveReport()
+    ev = eval_fn(x)
+    if not ev.admissible:
+        raise ConeViolationError("start point is not admissible")
+    rnorm = float(np.abs(ev.residual).max())
+    report.residual_history.append(rnorm)
+    report.cone_margin_history.append(ev.cone_margin)
+    report.aux_history.append(ev.aux)
+    while rnorm > tol:
+        if report.iterations >= max_iter:
+            report.message = f"no convergence in {max_iter} iterations"
+            raise NonconvergenceError(report.message, diagnostics=(report, x))
+        J = fd_jacobian(x, eval_fn, pattern)
+        step = factorize(J).solve(-ev.residual)
+        report.factorizations += 1
+        f0 = float(ev.residual @ ev.residual)
+        s = 1.0
+        accepted = None
+        for halvings in range(MAX_BACKTRACKS):
+            trial = x + s * step
+            ev_trial = eval_fn(trial)
+            f_trial = float(ev_trial.residual @ ev_trial.residual)
+            if ev_trial.admissible and f_trial <= (1.0 - 2.0 * ARMIJO_C * s) * f0:
+                accepted = (trial, ev_trial, s)
+                break
+            s *= 0.5
+        if accepted is None:
+            report.message = "line search found no admissible decreasing step"
+            raise NonconvergenceError(report.message, diagnostics=(report, x))
+        x, ev, s = accepted
+        rnorm = float(np.abs(ev.residual).max())
+        report.iterations += 1
+        report.residual_history.append(rnorm)
+        report.step_history.append(s)
+        report.step_norm_history.append(float(np.abs(step).max()))
+        report.backtrack_history.append(halvings)
+        report.cone_margin_history.append(ev.cone_margin)
+        report.aux_history.append(ev.aux)
+    report.converged = True
+    return x, report
 
 
 def test_initial_sphere_radius_values():
@@ -92,6 +151,21 @@ def test_newton_zero_iterations_at_solution():
     sol, rep = newton_solve(RadialField.constant(g, 1.0), prob, tol=1e-10)
     assert rep.iterations == 0
     assert np.array_equal(sol.rho, np.ones_like(sol.rho))
+
+
+def test_converged_start_costs_one_evaluation(monkeypatch):
+    g = build_grid(8, 16)
+    calls = 0
+    evaluate = measure_solver._soft_evaluate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(measure_solver, "_soft_evaluate", counted)
+    _, rep = newton_solve(RadialField.constant(g, 1.0), make_problem(g), tol=1e-10)
+    assert (rep.iterations, rep.factorizations, calls) == (0, 0, 1)
 
 
 def test_newton_rejects_inadmissible_start():
@@ -170,17 +244,37 @@ def test_homotopy_lands_exactly_on_one():
 def test_homotopy_completes_at_64x128():
     # the pole-row Jacobian entries scale like 1/(h sin theta)^2; only an
     # exact Jacobian lets the continuation leave t = 0 at this resolution
-    _, trace = homotopy_solve(make_problem(build_grid(64, 128), phi=PHI_TILT))
+    _, trace = tilted_homotopy(64)
     assert trace.success
     assert trace.steps[-1].t == 1.0
     assert not trace.rejections
-    assert sum(s.newton_iters for s in trace.steps) <= 10
+    # Jacobians (each factored once) and chord corrections stay bounded
+    assert sum(s.factorizations for s in trace.steps) <= 10
+    assert sum(s.newton_iters for s in trace.steps) <= 20
 
 
 def test_homotopy_newton_iterations_at_32x64():
-    _, trace = homotopy_solve(make_problem(build_grid(32, 64), phi=PHI_TILT))
+    _, trace = tilted_homotopy(32)
     assert trace.steps[-1].t == 1.0
-    assert sum(s.newton_iters for s in trace.steps) <= 10
+    assert sum(s.factorizations for s in trace.steps) <= 10
+    assert sum(s.newton_iters for s in trace.steps) <= 20
+
+
+def test_chord_homotopy_factors_at_most_four_times_at_64x128():
+    _, trace = tilted_homotopy(64)
+    assert sum(s.factorizations for s in trace.steps) <= 4
+    for s in trace.steps:
+        assert len(s.refactor_reasons) == s.factorizations
+
+
+def test_chord_homotopy_matches_full_newton_at_32x64(monkeypatch):
+    sol, trace = tilted_homotopy(32)
+    monkeypatch.setattr(measure_solver, "damped_newton", full_newton)
+    ref, ref_trace = homotopy_solve(make_problem(build_grid(32, 64), phi=PHI_TILT))
+    assert [s.t for s in trace.steps] == [s.t for s in ref_trace.steps] == [0.0, 0.1, 0.5, 1.0]
+    assert np.abs(sol.rho - ref.rho).max() <= 1e-10
+    assert (sum(s.factorizations for s in trace.steps)
+            < sum(s.factorizations for s in ref_trace.steps))
 
 
 def test_homotopy_step_records_control_data():

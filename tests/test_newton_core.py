@@ -8,7 +8,8 @@ import pytest
 import scipy.sparse
 
 import prescurv
-from prescurv.errors import NonconvergenceError
+from prescurv import newton_core
+from prescurv.errors import ConeViolationError, NonconvergenceError
 from prescurv.graph_solver import (
     CapSolution,
     GraphProblem,
@@ -28,9 +29,9 @@ from prescurv.newton_core import (
     Evaluation,
     SolveReport,
     damped_newton,
+    factorize,
     fd_jacobian,
     jacobian_pattern,
-    newton_step,
 )
 from prescurv.polynomials import Poly3
 from prescurv.sphere_geometry import build_grid
@@ -116,7 +117,7 @@ def test_sparse_newton_step_matches_dense_solve():
     x, eval_fn, pattern = sphere_case()
     r = eval_fn(x).residual
     J = fd_jacobian(x, eval_fn, pattern)
-    step = newton_step(J, r)
+    step = factorize(J).solve(-r)
     dense = np.linalg.solve(J.toarray(), -r)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -133,6 +134,92 @@ def test_report_records_step_norms_and_backtracks():
     norms = rep.step_norm_history
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-6
+
+
+def overshoot_case():
+    """The 8x16 sphere state moved three times as far from its solution:
+    the first full Newton step overshoots and is damped."""
+    x, eval_fn, pattern = sphere_case()
+    x_exact, _ = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    return x_exact + 3.0 * (x - x_exact), eval_fn, pattern
+
+
+def test_damped_step_drops_the_factor():
+    x, eval_fn, pattern = overshoot_case()
+    _, rep = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    # every damped step but a last one is followed by a fresh factor
+    damped = sum(s < 1.0 for s in rep.step_history[:-1])
+    assert damped >= 1
+    assert rep.refactor_reasons.count("damped") == damped
+
+
+def test_every_factorization_records_its_reason(monkeypatch):
+    jacobians = 0
+    jacobian = newton_core.fd_jacobian
+
+    def counted(*args):
+        nonlocal jacobians
+        jacobians += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(newton_core, "fd_jacobian", counted)
+    x, eval_fn, pattern = overshoot_case()
+    jacobians = 0
+    _, rep = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    assert rep.converged
+    assert jacobians == rep.factorizations == len(rep.refactor_reasons)
+    assert rep.refactor_reasons[0] == "start"
+    assert set(rep.refactor_reasons) == {"start", "damped", "contraction"}
+    # chord steps: more corrections than factors, each accepted undamped
+    # chord step at most CHORD_THETA times the step before it
+    assert rep.iterations > rep.factorizations
+    norms = rep.step_norm_history
+    chord = [b <= newton_core.CHORD_THETA * a for a, b in zip(norms, norms[1:])]
+    assert sum(chord) >= rep.iterations - rep.factorizations
+
+
+def test_vetoed_chord_trial_refactors_instead_of_failing():
+    x, eval_fn, pattern = sphere_case()
+    x_ref, ref = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    assert all(s == 1.0 for s in ref.step_history)     # no backtracking trials
+    # so the first real evaluation straight after another real one (and
+    # not after a complex-step Jacobian) is the first chord trial
+    last_real = False
+    vetoed = 0
+
+    def vetoing(v):
+        nonlocal last_real, vetoed
+        ev = eval_fn(v)
+        real = not np.iscomplexobj(v)
+        if real and last_real and not vetoed:
+            vetoed += 1
+            ev = Evaluation(ev.residual, False, ev.margin, ev.aux)
+        last_real = real
+        return ev
+
+    x_out, rep = damped_newton(x, vetoing, pattern, tol=1e-12, max_iter=20)
+    assert vetoed == 1
+    assert rep.converged
+    assert "chord_rejected" not in ref.refactor_reasons
+    assert rep.refactor_reasons.count("chord_rejected") == 1
+    assert rep.factorizations == len(rep.refactor_reasons)
+    assert all(s == 1.0 for s in rep.step_history)
+    assert np.abs(x_out - x_ref).max() <= 1e-10
+
+
+def test_inadmissible_start_raises_cone_violation():
+    x, eval_fn, pattern = sphere_case()
+    calls = 0
+
+    def vetoed(v):
+        nonlocal calls
+        calls += 1
+        ev = eval_fn(v)
+        return Evaluation(ev.residual, False, ev.margin, ev.aux)
+
+    with pytest.raises(ConeViolationError):
+        damped_newton(x, vetoed, pattern, tol=1e-12, max_iter=20)
+    assert calls == 1
 
 
 def test_singular_jacobian_raises_with_report_and_state():
