@@ -431,20 +431,18 @@ def _run_graph(run, out_dir, quiet, echo=None):
 
 
 def _run_inequalities(run, out_dir, quiet, echo=None):
-    all_records = []
     summaries = []
     clean = True
     for cfg in run.configs:
-        s = run_campaign(cfg, keep_records=run.write_records)
+        s = run_campaign(cfg)
         clean &= s.clean
         summaries.append(s)
-        all_records.extend(s.records)
         if not quiet:
             print(f"campaign n={cfg.n} k={cfg.k}: "
                   f"{'clean' if s.clean else 'HARD FAILURES'}")
-    if run.write_records and all_records:
+    if run.write_records and any(s.margin.size for s in summaries):
         widest = max(run.configs, key=lambda cfg: cfg.n)
-        write_campaign_csv(all_records, widest, os.path.join(out_dir, "campaign.csv"))
+        write_campaign_csv(summaries, widest, os.path.join(out_dir, "campaign.csv"))
     ivo_results = []
     for entry in run.ivochkina:
         rep = check_ivochkina_condition(entry["k"], entry["q"], entry["p_box"],

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError
-from .reporting import format_cells, write_csv
 from .symmfunc import in_gamma_k, sigma, sigma_grad, sigma_hess_dir
 
 _REJECTION_CAP = 20000
@@ -48,6 +47,11 @@ class SampleConfig:
             raise ValueError("sample_count must be nonnegative")
         if any(a <= 0 for a in self.alpha_list):
             raise ValueError("alpha values must be positive")
+        # results are reported per alpha under its 6-significant-digit label
+        labels = [f"{a:g}" for a in self.alpha_list]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"alpha values must differ in their first 6 significant "
+                             f"digits, got labels {labels}")
 
 
 @dataclass
@@ -265,22 +269,76 @@ def check_ivochkina_condition(k, q, p_box=3.0, grid=33, n=2):
 # ---------------------------------------------------------------------------
 # campaign
 
+KINDS = ("gll", "gll_sum3", "krylov")
+
+
+def tally(alphas, margin, passed, inconclusive):
+    """Counts, worst margins, hard failures and implication violations of
+    the (n_alpha, S, 3) check columns, as booking the rows one by one in
+    table order gives them.  Counts keep nonzero keys only; a worst margin
+    is the first if that is NaN, else the least of the others (the value a
+    running ``margin < worst`` comparison keeps)."""
+    conclusive = ~inconclusive
+    status = {"pass": passed & conclusive, "fail": ~passed & conclusive,
+              "inconclusive": inconclusive}
+    counts = {(kind, name): count for j, kind in enumerate(KINDS)
+              for name, mask in status.items()
+              if (count := int(np.count_nonzero(mask[..., j])))}
+    worst = {(kind, alpha): float(x[0] if np.isnan(x[0]) else x[np.nanargmin(x)])
+             for ia, alpha in enumerate(alphas) for j, kind in enumerate(KINDS)
+             for x in [margin[ia, :, j]] if x.size}
+    fail = np.nonzero(status["fail"])
+    hard = [(KINDS[j], alphas[ia], i, m) for ia, i, j, m
+            in zip(*(ix.tolist() for ix in fail), margin[fail].tolist())]
+    # a conclusive convexity pass where the per-direction bound fails
+    implied = np.nonzero(status["pass"][..., 2] & ~passed[..., 0])
+    implied = [(alphas[ia], i) for ia, i in zip(*(ix.tolist() for ix in implied))]
+    return counts, worst, hard, implied
+
 
 @dataclass
 class CampaignSummary:
+    """One (n, k) campaign as a check table, tallied on construction.
+
+    lhs, rhs, margin, passed and inconclusive have shape (n_alpha, S, 3),
+    the last axis in KINDS order; this is also the CSV row order.  krylov
+    rows carry rhs 0 and lhs minus the second derivative.  A sample's rows
+    share lam (S, n) and B (S, n, n), the first direction drawn.
+    """
     cfg: SampleConfig
-    counts: dict
-    hard_failures: list        # (kind, alpha, seed_index, margin)
-    implication_violations: list
-    worst_margins: dict
-    records: list = field(default_factory=list)
+    lam: np.ndarray
+    B: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    inconclusive: np.ndarray
+    counts: dict = field(init=False)
+    worst_margins: dict = field(init=False)
+    hard_failures: list = field(init=False)        # (kind, alpha, seed_index, margin)
+    implication_violations: list = field(init=False)   # (alpha, seed_index)
+
+    def __post_init__(self):
+        (self.counts, self.worst_margins, self.hard_failures,
+         self.implication_violations) = tally(self.cfg.alpha_list, self.margin,
+                                              self.passed, self.inconclusive)
 
     @property
     def clean(self):
         return not self.hard_failures and not self.implication_violations
 
+    @property
+    def records(self):
+        """The table as CheckRecords, in row order."""
+        cfg = self.cfg
+        cols = zip(*(c.ravel().tolist() for c in (self.lhs, self.rhs, self.margin,
+                                                   self.passed, self.inconclusive)))
+        return [CheckRecord(KINDS[j], cfg.n, cfg.k, cfg.alpha_list[ia], i, self.lam[i],
+                            self.B[i], *row)
+                for (ia, i, j), row in zip(np.ndindex(self.margin.shape), cols)]
 
-def run_campaign(cfg, keep_records=False, csv_path=None):
+
+def run_campaign(cfg):
     """Execute sample_count checks of each kind for one (n, k) pair.
 
     Hard failure = conclusive margin below -slack.  A conclusive
@@ -298,96 +356,59 @@ def run_campaign(cfg, keep_records=False, csv_path=None):
         for j in range(3):
             B3[i, j] = draw_direction(cfg, rng)
 
-    records = []
-    counts = {}
-    hard, implied = [], []
-    worst = {}
-
-    def book(kind, alpha, idx, lhs, rhs, margin, passed, inconclusive, keep, Bstore):
-        key = (kind, "inconclusive" if inconclusive else ("pass" if passed else "fail"))
-        counts[key] = counts.get(key, 0) + 1
-        wkey = (kind, alpha)
-        if wkey not in worst or margin < worst[wkey]:
-            worst[wkey] = margin
-        if not passed and not inconclusive:
-            hard.append((kind, alpha, idx, margin))
-        if keep:
-            records.append(CheckRecord(kind, n, cfg.k, alpha, idx, lam[idx],
-                                       Bstore, lhs, rhs, margin, passed,
-                                       inconclusive))
-
-    if S > 0:
-        lhs1, sk, rk1, r11 = _gll_sides(lam, B3[:, 0], cfg.k)
-        sides23 = [_gll_sides(lam, B3[:, j], cfg.k) for j in (1, 2)]
-        kry_vals, kry_errs, kry_inc = _ratio_alpha_d2(lam, B3[:, 0],
-                                                      list(cfg.alpha_list), cfg.k)
-        for ia, alpha in enumerate(cfg.alpha_list):
-            rhs1 = _gll_rhs(sk, rk1, r11, alpha)
-            margin1 = rhs1 - lhs1
-            slack1 = 1e-9 * (1.0 + np.abs(rhs1))
-            pass1 = margin1 >= -slack1
-            lhs_sum = lhs1.copy()
-            rhs_sum = rhs1.copy()
-            for (lhs_j, sk_j, rk_j, r1_j) in sides23:
-                lhs_sum += lhs_j
-                rhs_sum += _gll_rhs(sk_j, rk_j, r1_j, alpha)
-            margin_s = rhs_sum - lhs_sum
-            slack_s = 1e-9 * (1.0 + np.abs(rhs_sum))
-            pass_s = margin_s >= -slack_s
-            kv = kry_vals[ia]
-            kerr = kry_errs[ia]
-            kslack = 1e-9 * (1.0 + np.abs(kv)) + 3.0 * kerr
-            kpass = kv >= -kslack
-            for i in range(S):
-                book("gll", alpha, i, float(lhs1[i]), float(rhs1[i]),
-                     float(margin1[i]), bool(pass1[i]), False, keep_records,
-                     B3[i, 0])
-                book("gll_sum3", alpha, i, float(lhs_sum[i]), float(rhs_sum[i]),
-                     float(margin_s[i]), bool(pass_s[i]), False, keep_records,
-                     B3[i, 0])
-                book("krylov", alpha, i, float(-kv[i]), 0.0, float(kv[i]),
-                     bool(kpass[i]), bool(kry_inc[i]), keep_records, B3[i, 0])
-                if kpass[i] and not kry_inc[i] and not pass1[i]:
-                    implied.append((alpha, i))
-
-    summary = CampaignSummary(cfg=cfg, counts=counts, hard_failures=hard,
-                              implication_violations=implied, worst_margins=worst,
-                              records=records if keep_records else [])
-    if csv_path is not None:
-        if not keep_records:
-            raise ValueError("csv output requires keep_records=True")
-        write_campaign_csv(records, cfg, csv_path)
-    return summary
+    alpha = np.asarray(cfg.alpha_list, dtype=float)[:, None]
+    lhs1, sk, rk1, r11 = _gll_sides(lam, B3[:, 0], cfg.k)
+    rhs1 = _gll_rhs(sk, rk1, r11, alpha)
+    lhs_sum, rhs_sum = lhs1, rhs1
+    for j in (1, 2):
+        lhs_j, sk_j, rk_j, r1_j = _gll_sides(lam, B3[:, j], cfg.k)
+        lhs_sum = lhs_sum + lhs_j
+        rhs_sum = rhs_sum + _gll_rhs(sk_j, rk_j, r1_j, alpha)
+    kv, kerr, kinc = _ratio_alpha_d2(lam, B3[:, 0], list(cfg.alpha_list), cfg.k)
+    # (n_alpha, S) columns of each kind, stacked on a last axis in KINDS order
+    lhs = np.stack(np.broadcast_arrays(lhs1, lhs_sum, -kv), axis=-1)
+    rhs = np.stack(np.broadcast_arrays(rhs1, rhs_sum, 0.0), axis=-1)
+    margin = np.stack([rhs1 - lhs1, rhs_sum - lhs_sum, kv], axis=-1)
+    slack = 1e-9 * (1.0 + np.abs(rhs))
+    slack[..., 2] = 1e-9 * (1.0 + np.abs(kv)) + 3.0 * kerr
+    inconclusive = np.zeros(margin.shape, dtype=bool)
+    inconclusive[..., 2] = kinc
+    return CampaignSummary(cfg=cfg, lam=lam, B=B3[:, 0], lhs=lhs, rhs=rhs, margin=margin,
+                           passed=margin >= -slack, inconclusive=inconclusive)
 
 
-def write_campaign_csv(records, cfg, path):
-    """One row per CheckRecord, floats at 17 significant digits.
+_ROW = "%s,%d,%.17g,%.17g,%.17g,%d,%d,%s\n"
 
-    Columns are laid out for dimension cfg.n; records of a smaller n leave
+
+def write_campaign_csv(summaries, cfg, path):
+    """One row per check, campaign by campaign in table order, floats at 17
+    significant digits.
+
+    Columns are laid out for dimension cfg.n; the rows of a smaller n leave
     the lambda and B cells they do not have empty, so the campaigns of
     several (n, k) pairs share one file when cfg is the widest of them.
     """
-    n = cfg.n
+    width = cfg.n
     header = (["kind", "n", "k", "alpha", "seed_index", "lhs", "rhs", "margin",
                "pass", "inconclusive"]
-              + [f"lambda_{i + 1}" for i in range(n)]
-              + [f"B_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)])
-    # A sample's lambda/B cells repeat on each of its 3 * len(alpha_list)
-    # rows: format them once per distinct (lambda, B) content.
-    blocks = {}
-
-    def block(r):
-        key = (r.lam.tobytes(), r.B.tobytes())
-        text = blocks.get(key)
-        if text is None:
-            m = r.n
-            cells = [float(v) for v in r.lam] + [""] * (n - m)
-            cells += [float(r.B[i, j]) if j < m else ""
-                      for i in range(n) for j in range(i, n)]
-            text = blocks[key] = format_cells(cells)
-        return text
-
-    rows = ((r.kind, r.n, r.k, float(r.alpha), r.seed_index, float(r.lhs),
-             float(r.rhs), float(r.margin), bool(r.passed), bool(r.inconclusive),
-             block(r)) for r in records)
-    write_csv(path, header, rows)
+              + [f"lambda_{i + 1}" for i in range(width)]
+              + [f"B_{i + 1}{j + 1}" for i in range(width) for j in range(i, width)])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in summaries:
+            n, k = s.cfg.n, s.cfg.k
+            # a sample's lambda/B cells, formatted once for all of its rows
+            block = ",".join(["%.17g"] * n + [""] * (width - n)
+                             + ["%.17g" if j < n else ""
+                                for i in range(width) for j in range(i, width)])
+            upper = np.triu_indices(n)
+            cells = np.concatenate([s.lam, s.B[:, upper[0], upper[1]]], axis=1)
+            blocks = [block % tuple(row) for row in cells.tolist()]
+            blocks = [b for b in blocks for _ in KINDS]
+            index = [i for i in range(s.cfg.sample_count) for _ in KINDS]
+            for ia, alpha in enumerate(s.cfg.alpha_list):
+                heads = ["%s,%d,%d,%.17g" % (kind, n, k, alpha) for kind in KINDS]
+                cols = (c[ia].ravel().tolist() for c in (s.lhs, s.rhs, s.margin,
+                                                          s.passed, s.inconclusive))
+                fh.writelines(_ROW % row for row in zip(heads * s.cfg.sample_count,
+                                                        index, *cols, blocks))

@@ -38,17 +38,12 @@ def _cells_template(types):
                     else "%s" for t in types)
 
 
-def format_cells(cells):
-    """One CSV row of mixed scalars, as write_csv prints it (no newline)."""
-    cells = tuple(cells)
-    return _cells_template(tuple(map(type, cells))) % cells
-
-
 def write_csv(path, header, rows):
     """Rows of mixed scalars; floats formatted at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(format_cells(row) + "\n" for row in rows)
+        fh.writelines(_cells_template(tuple(map(type, row))) % tuple(row) + "\n"
+                      for row in rows)
 
 
 def write_manifest(out_dir, config_echo, input_hashes, started):

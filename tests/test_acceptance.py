@@ -265,10 +265,10 @@ def test_criterion_08_inequality_campaign():
     cfg_small = SampleConfig(n=3, k=2, alpha_list=alphas, sample_count=300,
                              seed=20240199)
     for _ in range(2):
-        s = run_campaign(cfg_small, keep_records=True)
+        s = run_campaign(cfg_small)
         with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
             path = fh.name
-        write_campaign_csv(s.records, cfg_small, path)
+        write_campaign_csv([s], cfg_small, path)
         digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
         os.unlink(path)
     ok = hard_total == 0 and implication_total == 0 and digests[0] == digests[1]

@@ -161,38 +161,69 @@ def test_inequality_run_writes_summary_and_campaign(tmp_path):
 
 
 def test_campaign_csv_bytes_match_independent_formatter(tmp_path):
-    # two pairs of different n, so the n = 3 rows carry empty padded cells
+    # two pairs of different n, so the n = 3 rows carry empty padded cells,
+    # given narrowest and widest first
     from prescurv.inequality_lab import SampleConfig, run_campaign
 
-    pairs, count, seed, alphas = [(3, 2), (5, 3)], 12, 8, (0.5, 2.0)
+    count, seed, alphas = 12, 8, (0.5, 2.0)
+    for order, pairs in enumerate(([(3, 2), (5, 3)], [(5, 3), (3, 2)])):
+        path = write_config(tmp_path, {
+            "mode": "verify-inequalities",
+            "seed": seed,
+            "problem": {"pairs": [list(p) for p in pairs], "sample_count": count,
+                        "alpha_list": list(alphas)},
+        }, name=f"cfg{order}.json")
+        out = tmp_path / f"out{order}"
+        assert main(["verify-inequalities", "--config", path, "--out", str(out),
+                     "--quiet"]) == 0
+        width = max(n for n, _ in pairs)
+        expect = io.StringIO()
+        writer = csv.writer(expect, lineterminator="\n")
+        writer.writerow(["kind", "n", "k", "alpha", "seed_index", "lhs", "rhs", "margin",
+                         "pass", "inconclusive"]
+                        + [f"lambda_{i + 1}" for i in range(width)]
+                        + [f"B_{i + 1}{j + 1}" for i in range(width)
+                           for j in range(i, width)])
+        for n, k in pairs:
+            cfg = SampleConfig(n=n, k=k, alpha_list=alphas, sample_count=count, seed=seed)
+            for r in run_campaign(cfg).records:
+                lam = [f"{v:.17g}" for v in r.lam] + [""] * (width - n)
+                B = [f"{r.B[i, j]:.17g}" if j < n else ""
+                     for i in range(width) for j in range(i, width)]
+                writer.writerow([r.kind, r.n, r.k, f"{r.alpha:.17g}", r.seed_index,
+                                 f"{r.lhs:.17g}", f"{r.rhs:.17g}", f"{r.margin:.17g}",
+                                 int(r.passed), int(r.inconclusive)] + lam + B)
+        text = (out / "campaign.csv").read_text()
+        assert text.count("\n") == 1 + 3 * len(alphas) * count * len(pairs)
+        assert text == expect.getvalue()
+
+
+def test_campaign_without_samples_writes_no_csv(tmp_path):
     path = write_config(tmp_path, {
         "mode": "verify-inequalities",
-        "seed": seed,
-        "problem": {"pairs": [list(p) for p in pairs], "sample_count": count,
-                    "alpha_list": list(alphas)},
+        "problem": {"pairs": [[3, 2]], "sample_count": 0},
     })
     out = tmp_path / "out"
     assert main(["verify-inequalities", "--config", path, "--out", str(out),
                  "--quiet"]) == 0
-    width = max(n for n, _ in pairs)
-    expect = io.StringIO()
-    writer = csv.writer(expect, lineterminator="\n")
-    writer.writerow(["kind", "n", "k", "alpha", "seed_index", "lhs", "rhs", "margin",
-                     "pass", "inconclusive"]
-                    + [f"lambda_{i + 1}" for i in range(width)]
-                    + [f"B_{i + 1}{j + 1}" for i in range(width) for j in range(i, width)])
-    for n, k in pairs:
-        cfg = SampleConfig(n=n, k=k, alpha_list=alphas, sample_count=count, seed=seed)
-        for r in run_campaign(cfg, keep_records=True).records:
-            lam = [f"{v:.17g}" for v in r.lam] + [""] * (width - n)
-            B = [f"{r.B[i, j]:.17g}" if j < n else ""
-                 for i in range(width) for j in range(i, width)]
-            writer.writerow([r.kind, r.n, r.k, f"{r.alpha:.17g}", r.seed_index,
-                             f"{r.lhs:.17g}", f"{r.rhs:.17g}", f"{r.margin:.17g}",
-                             int(r.passed), int(r.inconclusive)] + lam + B)
-    text = (out / "campaign.csv").read_text()
-    assert text.count("\n") == 1 + 3 * len(alphas) * count * len(pairs)
-    assert text == expect.getvalue()
+    assert not (out / "campaign.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["campaigns"][0]["counts"] == {}
+    assert summary["campaigns"][0]["worst_margins"] == {}
+
+
+@pytest.mark.parametrize("alphas", [[0.1234567, 0.1234568, 0.5], [0.5, 0.5]])
+def test_alphas_sharing_a_label_are_a_config_error(tmp_path, alphas):
+    # worst margins are reported per alpha label, so two alphas with one
+    # label would drop a margin from summary.json
+    path = write_config(tmp_path, {
+        "mode": "verify-inequalities",
+        "problem": {"pairs": [[3, 2]], "sample_count": 5, "alpha_list": alphas},
+    })
+    with pytest.raises(ConfigError, match="first 6 significant digits"):
+        parse_config(path)
+    assert main(["verify-inequalities", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 1
 
 
 def test_homotopy_report_records_step_control(tmp_path):
@@ -296,11 +327,15 @@ def test_hard_failure_exit_code(tmp_path, monkeypatch):
     import prescurv.cli as cli
     from prescurv.inequality_lab import CampaignSummary, SampleConfig
 
-    def fake_campaign(cfg, keep_records=False, csv_path=None):
-        return CampaignSummary(cfg=cfg, counts={("gll", "fail"): 1},
-                               hard_failures=[("gll", 1.0, 0, -1.0)],
-                               implication_violations=[], worst_margins={},
-                               records=[])
+    def fake_campaign(cfg):
+        # one sample whose gll check fails at every alpha
+        shape = (len(cfg.alpha_list), 1, 3)
+        margin = np.ones(shape)
+        margin[..., 0] = -1.0
+        return CampaignSummary(cfg=cfg, lam=np.ones((1, cfg.n)),
+                               B=np.zeros((1, cfg.n, cfg.n)), lhs=-margin,
+                               rhs=np.zeros(shape), margin=margin, passed=margin >= 0.0,
+                               inconclusive=np.zeros(shape, dtype=bool))
 
     monkeypatch.setattr(cli, "run_campaign", fake_campaign)
     path = write_config(tmp_path, {

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import os
+import runpy
 
 import numpy as np
 import pytest
 
 from prescurv.inequality_lab import (
     _STENCIL5,
+    KINDS,
     SampleConfig,
     _diag_embed,
     _ratio_alpha_d2,
@@ -16,6 +19,8 @@ from prescurv.inequality_lab import (
     run_campaign,
     sample_gamma_k,
     sample_rng,
+    tally,
+    write_campaign_csv,
 )
 from prescurv.symmfunc import in_gamma_k, sigma, sigma_grad
 
@@ -216,8 +221,9 @@ def test_campaign_small_clean_and_deterministic(tmp_path):
     digests = []
     for tag in ("a", "b"):
         path = tmp_path / f"campaign_{tag}.csv"
-        s = run_campaign(cfg, keep_records=True, csv_path=path)
+        s = run_campaign(cfg)
         assert s.clean
+        write_campaign_csv([s], cfg, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
     header = (tmp_path / "campaign_a.csv").read_text().splitlines()[0]
@@ -240,3 +246,99 @@ def test_config_validation():
         SampleConfig(n=3, k=2, alpha_list=(0.0,))
     with pytest.raises(ValueError):
         SampleConfig(n=3, k=2, sample_count=-1)
+    # results are keyed by the alpha's 6-significant-digit label
+    with pytest.raises(ValueError, match="first 6 significant digits"):
+        SampleConfig(n=3, k=2, alpha_list=(0.1234567, 0.1234568))
+
+
+def booked(alphas, margin, passed, inconclusive):
+    """The per-check booking loop run_campaign used to make, row by row in
+    table order: the oracle for tally."""
+    counts, worst, hard, implied = {}, {}, [], []
+    for ia, alpha in enumerate(alphas):
+        for i in range(margin.shape[1]):
+            for j, kind in enumerate(KINDS):
+                m = float(margin[ia, i, j])
+                ok, inc = bool(passed[ia, i, j]), bool(inconclusive[ia, i, j])
+                key = (kind, "inconclusive" if inc else ("pass" if ok else "fail"))
+                counts[key] = counts.get(key, 0) + 1
+                if (kind, alpha) not in worst or m < worst[(kind, alpha)]:
+                    worst[(kind, alpha)] = m
+                if not ok and not inc:
+                    hard.append((kind, alpha, i, m))
+            if passed[ia, i, 2] and not inconclusive[ia, i, 2] and not passed[ia, i, 0]:
+                implied.append((alpha, i))
+    return counts, worst, hard, implied
+
+
+def assert_tally_matches_oracle(alphas, margin, passed, inconclusive):
+    counts, worst, hard, implied = tally(alphas, margin, passed, inconclusive)
+    o_counts, o_worst, o_hard, o_implied = booked(alphas, margin, passed, inconclusive)
+    # the summary sorts count keys, so counts compare as a mapping; repr
+    # tells NaN, -0.0 and numpy scalars apart
+    assert counts == o_counts
+    assert repr(list(worst.items())) == repr(list(o_worst.items()))
+    assert repr(hard) == repr(o_hard)
+    assert repr(implied) == repr(o_implied)
+    return counts, worst, hard, implied
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (5, 3)])
+def test_campaign_tally_matches_booking_loop(n, k):
+    alphas = (0.25, 0.5, 1.0, 2.0)
+    cfg = SampleConfig(n=n, k=k, alpha_list=alphas, sample_count=400, seed=31)
+    s = run_campaign(cfg)
+    assert s.margin.shape == (len(alphas), 400, len(KINDS))
+    counts, worst, hard, implied = assert_tally_matches_oracle(
+        alphas, s.margin, s.passed, s.inconclusive)
+    assert (s.counts, s.worst_margins, s.hard_failures,
+            s.implication_violations) == (counts, worst, hard, implied)
+    # the table columns hold what the single-sample checks compute
+    for ia, alpha in enumerate(alphas):
+        for i in range(3):
+            rec = check_gll(s.lam[i], s.B[i], alpha, k=k)
+            assert s.lhs[ia, i, 0] == pytest.approx(rec.lhs, rel=1e-12, abs=1e-12)
+            assert s.rhs[ia, i, 0] == pytest.approx(rec.rhs, rel=1e-12, abs=1e-12)
+            value, _ = check_krylov_convexity(s.lam[i], s.B[i], alpha, k)
+            assert s.margin[ia, i, 2] == pytest.approx(value, rel=1e-9, abs=1e-9)
+            assert s.lhs[ia, i, 2] == -s.margin[ia, i, 2] and s.rhs[ia, i, 2] == 0.0
+
+
+def test_tally_matches_booking_loop_on_synthetic_tables():
+    rng = np.random.default_rng(5)
+    alphas = (0.5, 1.0, 2.0)
+    shape = (len(alphas), 40, len(KINDS))
+    margin = rng.uniform(0.0, 1.0, shape)
+    passed = np.ones(shape, dtype=bool)
+    inconclusive = np.zeros(shape, dtype=bool)
+    # NaN krylov margins are inconclusive: first sample at alpha 0.5,
+    # a later one at alpha 1.0 where a smaller margin follows it
+    margin[0, 0, 2] = np.nan
+    margin[1, 7, 2] = np.nan
+    margin[1, 9, 2] = -1e-3
+    inconclusive[0, 0, 2] = inconclusive[1, 7, 2] = inconclusive[1, 9, 2] = True
+    passed[0, 0, 2] = passed[1, 7, 2] = passed[1, 9, 2] = False
+    # hard failures in every kind, and a gll failure under a conclusive
+    # convexity pass (an implication violation)
+    for ia, i, j in ((2, 3, 1), (0, 5, 0), (2, 3, 2), (1, 30, 0)):
+        margin[ia, i, j] = -0.25 * (1 + i)
+        passed[ia, i, j] = False
+    # ties at the worst margin: -0.0 first, then +0.0
+    margin[2, 10, 0], margin[2, 12, 0] = -0.0, 0.0
+    counts, worst, hard, implied = assert_tally_matches_oracle(
+        alphas, margin, passed, inconclusive)
+    assert np.isnan(worst[("krylov", 0.5)])
+    assert worst[("krylov", 1.0)] == -1e-3
+    assert [h[:3] for h in hard] == [("gll", 0.5, 5), ("gll", 1.0, 30),
+                                     ("gll_sum3", 2.0, 3), ("krylov", 2.0, 3)]
+    assert implied == [(0.5, 5), (1.0, 30)]
+    assert counts[("krylov", "inconclusive")] == 3
+
+
+def test_lab_demo_session_runs(capsys):
+    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "demos", "inequality_lab_session.py")
+    runpy.run_path(demo, run_name="__main__")
+    out = capsys.readouterr().out
+    assert "krylov    pass         8000" in out
+    assert "hard failures: 0  implication violations: 0" in out

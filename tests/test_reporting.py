@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from prescurv.reporting import format_cells, write_csv
+from prescurv.reporting import write_csv
 
 
 def per_cell_row(row):
@@ -28,4 +28,3 @@ def test_write_csv_matches_per_cell_formatter(tmp_path):
     path = tmp_path / "mixed.csv"
     write_csv(path, ["a", "b"], rows)
     assert path.read_text() == "a,b\n" + "".join(per_cell_row(r) for r in rows)
-    assert format_cells(rows[1]) + "\n" == per_cell_row(rows[1])
