@@ -9,14 +9,11 @@ import numpy as np
 
 from prescurv.graph_solver import (
     CapSolution,
-    GraphProblem,
-    GraphRHS,
     RectGrid,
     bound_probe_campaign,
-    dirichlet_boundary_from,
     dirichlet_newton_solve,
     exact_field,
-    manufactured_H,
+    manufactured_problem,
     manufactured_start,
 )
 
@@ -26,9 +23,7 @@ print("=== manufactured solution: recover a sphere cap ===")
 prev = None
 for n in (17, 33):
     grid = RectGrid(-1, 1, -1, 1, n, n)
-    prob = GraphProblem(grid, 2, 1.0,
-                        GraphRHS(samples=manufactured_H(cap, 2, 1.0, grid)),
-                        dirichlet_boundary_from(cap, grid))
+    prob = manufactured_problem(cap, grid, 2, 1.0)
     sol, rep = dirichlet_newton_solve(manufactured_start(cap, grid), prob, tol=1e-10)
     err = np.abs(sol.g - exact_field(cap, grid).g).max()
     order = "" if prev is None else f"   order {math.log2(prev / err):.2f}"

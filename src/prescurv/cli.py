@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
-import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -25,19 +25,15 @@ from .graph_solver import (
     CapSolution,
     GraphField,
     GraphProblem,
-    GraphRHS,
     ParaboloidSolution,
     RectGrid,
-    bound_probe_campaign,
+    bound_probe_row,
     curvature_bound_probe,
-    dirichlet_boundary_from,
     dirichlet_newton_solve,
     exact_field,
-    graph_shape,
-    manufactured_H,
+    full_grid_shape,
+    manufactured_problem,
     manufactured_start,
-    _d1,
-    _d2,
 )
 from .inequality_lab import (
     SampleConfig,
@@ -95,20 +91,27 @@ def _require(d, key, path):
     return d[key]
 
 
-def _build_poly(entries, path):
+@contextmanager
+def _config_path(path):
+    """Raise a bad value met in the block as a ConfigError at path; ConfigErrors pass."""
     try:
-        return Poly3.from_list(entries)
+        yield
+    except ConfigError:
+        raise
     except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: bad monomial list ({exc})")
+        raise ConfigError(f"{path}: {exc}")
+
+
+def _build_poly(entries, path):
+    with _config_path(f"{path}: bad monomial list"):
+        return Poly3.from_list(entries)
 
 
 def _build_operator(d, path):
     _check_keys(d, {"kind", "k", "l"}, path)
-    kind = d.get("kind", "sigma_k")
-    try:
-        return OperatorSpec(kind=kind, k=int(_require(d, "k", path)), l=int(d.get("l", 0)))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    with _config_path(path):
+        return OperatorSpec(kind=d.get("kind", "sigma_k"), k=int(_require(d, "k", path)),
+                            l=int(d.get("l", 0)))
 
 
 def _build_surface(d, path):
@@ -126,6 +129,17 @@ def _build_surface(d, path):
     raise ConfigError(f"{path}: unknown surface kind {kind!r}")
 
 
+def _sphere_grid(spec, path):
+    with _config_path(path):
+        return build_grid(int(spec[0]), int(spec[1]))
+
+
+def _rect_grid(domain, spec, path):
+    with _config_path(path):
+        return RectGrid(float(domain[0]), float(domain[1]), float(domain[2]),
+                        float(domain[3]), int(spec[0]), int(spec[1]))
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -138,17 +152,14 @@ class RunConfig:
 class MeasureRun:
     problem: MeasureProblem
     method: str
-    tol: float
-    max_iter: int
-    dt_init: float
-    dt_min: float
+    schedule: HomotopySchedule  # its Newton tol and max_iter also drive method "newton"
     start_radius: float
 
 
 @dataclass
 class GraphRun:
     problem: GraphProblem
-    surface: object      # exact solution when manufactured, else None
+    surface: object      # exact solution of the manufactured problem
     start: GraphField
     tol: float
     max_iter: int
@@ -164,7 +175,7 @@ class InequalityRun:
 @dataclass
 class StudyRun:
     kind: str
-    params: dict
+    cases: list  # built by _parse_study, one per study.csv row
 
 
 def parse_config(path, mode=None, seed_override=None):
@@ -183,7 +194,8 @@ def parse_config(path, mode=None, seed_override=None):
         raise ConfigError(f"config: unknown mode {cfg_mode!r}; expected one of {MODES}")
     if mode is not None and mode != cfg_mode:
         raise ConfigError(f"command line mode {mode!r} does not match config mode {cfg_mode!r}")
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    with _config_path("config.seed"):
+        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
     problem = _require(raw, "problem", "config")
     solver = raw.get("solver", {})
     builder = {
@@ -192,50 +204,54 @@ def parse_config(path, mode=None, seed_override=None):
         "verify-inequalities": _parse_inequalities,
         "convergence-study": _parse_study,
     }[cfg_mode]
-    payload = builder(problem, solver, seed)
+    with _config_path("problem"):
+        payload = builder(problem, solver, seed)
     return RunConfig(mode=cfg_mode, seed=seed, echo=raw, payload=payload)
+
+
+def _measure_problem(problem, grid):
+    """MeasureProblem from a config's operator, p and phi on a built grid."""
+    op = _build_operator(_require(problem, "operator", "problem"), "problem.operator")
+    p = float(_require(problem, "p", "problem"))
+    phi = _build_poly(_require(problem, "phi", "problem"), "problem.phi")
+    return MeasureProblem(op, p, phi, grid)
+
+
+def _homotopy_schedule(solver):
+    """HomotopySchedule from a solver block; absent keys keep its defaults."""
+    d = HomotopySchedule()
+    return HomotopySchedule(dt_init=float(solver.get("dt_init", d.dt_init)),
+                            dt_min=float(solver.get("dt_min", d.dt_min)),
+                            newton_tol=float(solver.get("tol", d.newton_tol)),
+                            newton_max_iter=int(solver.get("max_iter", d.newton_max_iter)))
+
+
+def _manufactured_run(surface, grid, k, q, path, tol, max_iter, perturb_start=1e-2):
+    """GraphRun of the surface's manufactured problem; its faults are config errors at path."""
+    with _config_path(path):
+        prob = manufactured_problem(surface, grid, k, q)
+    return GraphRun(prob, surface, manufactured_start(surface, grid, perturb_start),
+                    tol, max_iter)
 
 
 def _parse_measure(problem, solver, seed):
     _check_keys(problem, {"operator", "p", "phi", "grid"}, "problem")
     _check_keys(solver, {"method", "tol", "max_iter", "dt_init", "dt_min",
                          "start_radius"}, "solver")
-    op = _build_operator(_require(problem, "operator", "problem"), "problem.operator")
-    p = float(_require(problem, "p", "problem"))
-    phi = _build_poly(_require(problem, "phi", "problem"), "problem.phi")
-    grid_spec = _require(problem, "grid", "problem")
-    try:
-        grid = build_grid(int(grid_spec[0]), int(grid_spec[1]))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"problem.grid: {exc}")
-    try:
-        prob = MeasureProblem(op, p, phi, grid)
-    except ConfigError as exc:
-        raise ConfigError(f"problem: {exc}")
+    grid = _sphere_grid(_require(problem, "grid", "problem"), "problem.grid")
+    prob = _measure_problem(problem, grid)
     method = solver.get("method", "homotopy")
     if method not in ("homotopy", "newton"):
         raise ConfigError("solver.method must be 'homotopy' or 'newton'")
-    return MeasureRun(
-        problem=prob,
-        method=method,
-        tol=float(solver.get("tol", 1e-9)),
-        max_iter=int(solver.get("max_iter", 30)),
-        dt_init=float(solver.get("dt_init", 0.1)),
-        dt_min=float(solver.get("dt_min", 1e-4)),
-        start_radius=float(solver.get("start_radius", 0.0)),
-    )
+    return MeasureRun(problem=prob, method=method, schedule=_homotopy_schedule(solver),
+                      start_radius=float(solver.get("start_radius", 0.0)))
 
 
 def _parse_graph(problem, solver, seed):
     _check_keys(problem, {"domain", "grid", "k", "q", "H", "boundary"}, "problem")
     _check_keys(solver, {"tol", "max_iter", "perturb_start"}, "solver")
-    domain = _require(problem, "domain", "problem")
-    grid_spec = _require(problem, "grid", "problem")
-    try:
-        grid = RectGrid(float(domain[0]), float(domain[1]), float(domain[2]),
-                        float(domain[3]), int(grid_spec[0]), int(grid_spec[1]))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"problem.domain/grid: {exc}")
+    grid = _rect_grid(_require(problem, "domain", "problem"),
+                      _require(problem, "grid", "problem"), "problem.domain/grid")
     k = int(_require(problem, "k", "problem"))
     q = float(_require(problem, "q", "problem"))
     H_spec = _require(problem, "H", "problem")
@@ -248,23 +264,19 @@ def _parse_graph(problem, solver, seed):
         raise ConfigError("problem.H.kind must be 'poly' or 'manufactured'")
     surface = _build_surface(_require(H_spec, "surface", "problem.H"),
                              "problem.H.surface")
-    rhs = GraphRHS(samples=manufactured_H(surface, k, q, grid))
+    run = _manufactured_run(surface, grid, k, q, "problem.H.surface",
+                            float(solver.get("tol", 1e-9)), int(solver.get("max_iter", 40)),
+                            float(solver.get("perturb_start", 1e-2)))
     bnd_spec = _require(problem, "boundary", "problem")
     _check_keys(bnd_spec, {"kind", "terms"}, "problem.boundary")
-    if _require(bnd_spec, "kind", "problem.boundary") == "surface":
-        boundary = dirichlet_boundary_from(surface, grid)
-    elif bnd_spec["kind"] == "poly":
+    if _require(bnd_spec, "kind", "problem.boundary") == "poly":
         bpoly = _build_poly(_require(bnd_spec, "terms", "problem.boundary"),
                             "problem.boundary.terms")
         X1, X2 = grid.meshes()
-        boundary = bpoly(X1, X2, np.zeros_like(X1))
-    else:
+        run.problem.boundary = bpoly(X1, X2, np.zeros_like(X1))
+    elif bnd_spec["kind"] != "surface":
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")
-    prob = GraphProblem(grid, k, q, rhs, boundary)
-    start = manufactured_start(surface, grid, float(solver.get("perturb_start", 1e-2)))
-    return GraphRun(problem=prob, surface=surface, start=start,
-                    tol=float(solver.get("tol", 1e-9)),
-                    max_iter=int(solver.get("max_iter", 40)))
+    return run
 
 
 def _parse_inequalities(problem, solver, seed):
@@ -277,15 +289,17 @@ def _parse_inequalities(problem, solver, seed):
     count = int(problem.get("sample_count", 1000))
     box = tuple(problem.get("spectrum_box", (-1.0, 2.0)))
     scale = tuple(problem.get("direction_scale", (-1.0, 1.0)))
+    # the fields every pair shares are checked alone, so their faults name their key
+    for key, value in (("alpha_list", alpha), ("sample_count", count)):
+        with _config_path(f"problem.{key}"):
+            SampleConfig(**{key: value})
     configs = []
     for pair in pairs:
-        try:
+        with _config_path(f"problem.pairs {pair}"):
             configs.append(SampleConfig(n=int(pair[0]), k=int(pair[1]),
                                         alpha_list=alpha, sample_count=count,
                                         seed=seed, spectrum_box=box,
                                         direction_scale=scale))
-        except ValueError as exc:
-            raise ConfigError(f"problem.pairs {pair}: {exc}")
     ivo = []
     for entry in problem.get("ivochkina", []):
         _check_keys(entry, {"k", "q", "p_box", "grid"}, "problem.ivochkina[]")
@@ -297,34 +311,69 @@ def _parse_inequalities(problem, solver, seed):
                          write_records=bool(problem.get("write_records", True)))
 
 
-_STUDY_KINDS = ("ellipsoid-curvature", "structure-equations", "measure-homotopy",
-                "graph-manufactured", "graph-bound-probe")
+# kind: (problem keys besides kind and grids, solver keys, study.csv header);
+# the geometry kinds solve nothing and take no solver block, and each
+# "order..." column is filled in by _with_orders
+_STUDIES = {
+    "ellipsoid-curvature": ({"ellipsoid"}, set(),
+                            ["n_theta", "n_phi", "err_l2", "order_l2",
+                             "err_offpole", "order_offpole"]),
+    "structure-equations": ({"rho"}, set(),
+                            ["n_theta", "n_phi", "gauss_l2", "order_gauss",
+                             "support_l2", "order_support"]),
+    "measure-homotopy": ({"operator", "p", "phi"}, {"tol", "max_iter"},
+                         ["n_theta", "n_phi", "residual_max", "diff_to_prev_l2", "order"]),
+    "graph-manufactured": ({"surface", "k", "q", "domain"}, {"tol", "max_iter"},
+                           ["nx", "ny", "err_max", "order"]),
+    "graph-bound-probe": ({"q_list", "k", "radius"}, {"tol", "max_iter"},
+                          ["q", "nx", "ny", "sup_int_A", "sup_bnd_A", "ratio", "converged"]),
+}
 
 
 def _parse_study(problem, solver, seed):
-    _check_keys(problem, {"kind", "grids", "ellipsoid", "rho", "operator", "p",
-                          "phi", "k", "q", "q_list", "surface", "domain",
-                          "radius"}, "problem")
-    _check_keys(solver, {"tol", "max_iter"}, "solver")
-    kind = _require(problem, "kind", "problem")
-    if kind not in _STUDY_KINDS:
-        raise ConfigError(f"problem.kind must be one of {_STUDY_KINDS}")
-    grids = _require(problem, "grids", "problem")
-    if not grids:
+    """StudyRun with a ready case per grid (per q and grid for the probe)."""
+    kind = problem.get("kind") if isinstance(problem, dict) else None
+    if kind not in _STUDIES:
+        raise ConfigError(f"problem.kind must be one of {tuple(_STUDIES)}")
+    problem_keys, solver_keys = _STUDIES[kind][:2]
+    _check_keys(problem, {"kind", "grids"} | problem_keys, "problem")
+    _check_keys(solver, solver_keys, "solver")
+    specs = list(enumerate(_require(problem, "grids", "problem")))
+    if not specs:
         raise ConfigError("problem.grids must list at least one grid")
-    params = dict(problem)
-    params["solver"] = dict(solver)
-    return StudyRun(kind=kind, params=params)
+    if kind.startswith("graph"):
+        domain = problem.get("domain", (-1.0, 1.0, -1.0, 1.0))
+        grids = [_rect_grid(domain, spec, f"problem.grids[{i}]") for i, spec in specs]
+    else:
+        grids = [_sphere_grid(spec, f"problem.grids[{i}]") for i, spec in specs]
+    if kind == "ellipsoid-curvature":
+        axes = tuple(float(a) for a in problem.get("ellipsoid", (1.15, 1.0, 0.9)))
+        return StudyRun(kind, [(ellipsoid_radial_field(grid, *axes), axes) for grid in grids])
+    if kind == "structure-equations":
+        rho = _build_poly(problem.get("rho", [[2.0, 0, 0, 0], [0.3, 0, 0, 1],
+                                              [0.2, 1, 1, 0]]), "problem.rho")
+        return StudyRun(kind, [RadialField(grid, rho.eval_unit_vectors(grid.nodes))
+                               for grid in grids])
+    if kind == "measure-homotopy":
+        schedule = _homotopy_schedule(solver)
+        return StudyRun(kind, [MeasureRun(_measure_problem(problem, grid), "homotopy",
+                                          schedule, 0.0) for grid in grids])
+    # graph-manufactured: the probe's solve at one q, on any surface, with a tighter tol
+    if kind == "graph-manufactured":
+        surface = _build_surface(problem.get("surface", {"kind": "cap", "radius": 2.0}),
+                                 "problem.surface")
+        qs, path, tol, max_iter = [problem.get("q", 0.0)], "problem.surface", 1e-10, 30
+    else:
+        surface, path = CapSolution(float(problem.get("radius", 2.0))), "problem.radius"
+        qs, tol, max_iter = problem.get("q_list", (-1.0, -0.5, 0.0, 0.5, 1.0)), 1e-9, 40
+    k, tol, max_iter = (int(problem.get("k", 2)), float(solver.get("tol", tol)),
+                        int(solver.get("max_iter", max_iter)))
+    return StudyRun(kind, [_manufactured_run(surface, grid, k, float(q), path, tol, max_iter)
+                           for q in qs for grid in grids])
 
 
 # ---------------------------------------------------------------------------
 # mode runners
-
-
-def _order_cell(prev, cur):
-    if prev is None or prev < 1e-13 or cur < 1e-13:
-        return "n/a"
-    return f"{math.log2(prev / cur):.3f}"
 
 
 def _partial_newton(exc):
@@ -345,9 +394,8 @@ def _run_measure(run, out_dir, quiet, echo=None):
     exit_code = EXIT_OK
     payload = {"mode": "solve-measure", "config_echo": echo}
     field = None
+    sched = run.schedule
     if run.method == "homotopy":
-        sched = HomotopySchedule(dt_init=run.dt_init, dt_min=run.dt_min,
-                                 newton_tol=run.tol, newton_max_iter=run.max_iter)
         try:
             field, trace = homotopy_solve(run.problem, sched)
         except NonconvergenceError as exc:
@@ -364,8 +412,8 @@ def _run_measure(run, out_dir, quiet, echo=None):
         r0 = run.start_radius or initial_sphere_radius(run.problem.op, run.problem.p)
         try:
             field, report = newton_solve(RadialField.constant(run.problem.grid, r0),
-                                         run.problem, tol=run.tol,
-                                         max_iter=run.max_iter)
+                                         run.problem, tol=sched.newton_tol,
+                                         max_iter=sched.newton_max_iter)
             payload["newton"] = {**_newton_counts(report),
                                  "residual_history": report.residual_history}
         except NonconvergenceError as exc:
@@ -373,7 +421,8 @@ def _run_measure(run, out_dir, quiet, echo=None):
             payload["error"] = str(exc)
             payload["newton"] = _partial_newton(exc)
     if field is not None:
-        bounds = verify_apriori_bounds(field, run.problem, residual_tol=max(run.tol, 1e-8))
+        bounds = verify_apriori_bounds(field, run.problem,
+                                       residual_tol=max(sched.newton_tol, 1e-8))
         payload["bounds"] = vars(bounds)
         geo = radial_geometry(field)
         export_csv(geo, run.problem.op, os.path.join(out_dir, "solution.csv"))
@@ -385,19 +434,10 @@ def _run_measure(run, out_dir, quiet, echo=None):
     return exit_code
 
 
-def _graph_solution_csv(field, prob, path):
-    grid = prob.grid
-    g = field.g
-    Dg = np.stack([_d1(g, 0, grid.hx), _d1(g, 1, grid.hy)], axis=-1)
-    D2g = np.empty(g.shape + (2, 2))
-    D2g[..., 0, 0] = _d2(g, 0, grid.hx)
-    D2g[..., 1, 1] = _d2(g, 1, grid.hy)
-    mixed = _d1(_d1(g, 0, grid.hx), 1, grid.hy)
-    D2g[..., 0, 1] = mixed
-    D2g[..., 1, 0] = mixed
-    lam, A = graph_shape(Dg, D2g)
-    X1, X2 = grid.meshes()
-    columns = (X1, X2, g, lam[..., 0], lam[..., 1], A)
+def _graph_solution_csv(field, path):
+    lam, A = full_grid_shape(field)
+    X1, X2 = field.grid.meshes()
+    columns = (X1, X2, field.g, lam[..., 0], lam[..., 1], A)
     write_csv(path, ["x1", "x2", "g", "lambda1", "lambda2", "A_norm"],
               zip(*(c.ravel().tolist() for c in columns)))
 
@@ -420,10 +460,9 @@ def _run_graph(run, out_dir, quiet, echo=None):
         probe = curvature_bound_probe(field, run.problem)
         payload["probe"] = vars(probe)
         write_json(os.path.join(out_dir, "probe.json"), vars(probe))
-        _graph_solution_csv(field, run.problem, os.path.join(out_dir, "solution.csv"))
-        if run.surface is not None:
-            err = float(np.abs(field.g - exact_field(run.surface, run.problem.grid).g).max())
-            payload["manufactured_error_max"] = err
+        _graph_solution_csv(field, os.path.join(out_dir, "solution.csv"))
+        payload["manufactured_error_max"] = float(
+            np.abs(field.g - exact_field(run.surface, field.grid).g).max())
         if not quiet:
             print(f"solve-graph: ratio={probe.ratio:.6f}")
     write_json(os.path.join(out_dir, "report.json"), payload)
@@ -470,99 +509,66 @@ def _run_inequalities(run, out_dir, quiet, echo=None):
     return EXIT_OK if clean else EXIT_HARD_FAILURE
 
 
-def _run_study(run, out_dir, quiet, echo=None):
-    kind = run.kind
-    params = run.params
+def _study_rows(run):
+    """Raw study.csv rows, one per case; _with_orders adds the order cells."""
+    prev = None  # measure-homotopy: the solution on the grid before
+    for case in run.cases:
+        if run.kind == "ellipsoid-curvature":
+            field, axes = case
+            geo = radial_geometry(field)
+            lam_exact = np.sort(ellipsoid_principal_curvatures(
+                geo.X.reshape(-1, 3), *axes), axis=-1).reshape(geo.principal.shape)
+            diff = np.linalg.norm(geo.principal - lam_exact, axis=-1)
+            keep = np.abs(np.cos(field.grid.theta)) <= 0.8
+            yield (field.grid.n_theta, field.grid.n_phi, field_norm(field.grid, diff, "l2"),
+                   float(diff[keep].max()))
+        elif run.kind == "structure-equations":
+            sr = structure_equation_residuals(radial_geometry(case))
+            yield (case.grid.n_theta, case.grid.n_phi, sr.l2_gauss, sr.l2_support)
+        elif run.kind == "measure-homotopy":
+            field, _ = homotopy_solve(case.problem, case.schedule)
+            res_max = verify_apriori_bounds(field, case.problem).residual_max
+            diff = "n/a" if prev is None else field_difference(prev, field, "l2")
+            yield (field.grid.n_theta, field.grid.n_phi, res_max, diff)
+            prev = field
+        elif run.kind == "graph-manufactured":
+            sol, _ = dirichlet_newton_solve(case.start, case.problem,
+                                            tol=case.tol, max_iter=case.max_iter)
+            yield (sol.grid.nx, sol.grid.ny,
+                   float(np.abs(sol.g - exact_field(case.surface, sol.grid).g).max()))
+        else:
+            yield astuple(bound_probe_row(case.problem, case.start, case.tol, case.max_iter))
+
+
+def _with_orders(header, raw_rows):
+    """Raw rows with the header's "order..." cells inserted: the observed
+    order log2(prev / cur) of the column before, prev its value one row up;
+    "n/a" on the first row, after a non-number or at the round-off floor."""
     rows = []
-    exit_code = EXIT_OK
+    for raw in raw_rows:
+        row = list(raw)
+        for i, name in enumerate(header):
+            if name.startswith("order"):
+                prev, cur = (rows[-1][i - 1] if rows else None), row[i - 1]
+                defined = isinstance(prev, float) and min(prev, cur) >= 1e-13
+                row.insert(i, f"{math.log2(prev / cur):.3f}" if defined else "n/a")
+        rows.append(tuple(row))
+    return rows
+
+
+def _run_study(run, out_dir, quiet, echo=None):
+    raw, exit_code = [], EXIT_OK
     try:
-        if kind == "ellipsoid-curvature":
-            a, b, c = params.get("ellipsoid", (1.15, 1.0, 0.9))
-            header = ["n_theta", "n_phi", "err_l2", "order_l2",
-                      "err_offpole", "order_offpole"]
-            prev = (None, None)
-            for nt, nph in params["grids"]:
-                grid = build_grid(int(nt), int(nph))
-                geo = radial_geometry(ellipsoid_radial_field(grid, a, b, c))
-                lam_exact = np.sort(ellipsoid_principal_curvatures(
-                    geo.X.reshape(-1, 3), a, b, c), axis=-1).reshape(geo.principal.shape)
-                diff = np.linalg.norm(geo.principal - lam_exact, axis=-1)
-                e_l2 = field_norm(grid, diff, "l2")
-                keep = np.abs(np.cos(grid.theta)) <= 0.8
-                e_s = float(diff[keep].max())
-                rows.append((nt, nph, e_l2, _order_cell(prev[0], e_l2),
-                             e_s, _order_cell(prev[1], e_s)))
-                prev = (e_l2, e_s)
-        elif kind == "structure-equations":
-            rho_poly = _build_poly(params.get("rho", [[2.0, 0, 0, 0], [0.3, 0, 0, 1],
-                                                      [0.2, 1, 1, 0]]), "problem.rho")
-            header = ["n_theta", "n_phi", "gauss_l2", "order_gauss",
-                      "support_l2", "order_support"]
-            prev = (None, None)
-            for nt, nph in params["grids"]:
-                grid = build_grid(int(nt), int(nph))
-                f = RadialField(grid, rho_poly.eval_unit_vectors(grid.nodes))
-                sr = structure_equation_residuals(radial_geometry(f))
-                rows.append((nt, nph, sr.l2_gauss, _order_cell(prev[0], sr.l2_gauss),
-                             sr.l2_support, _order_cell(prev[1], sr.l2_support)))
-                prev = (sr.l2_gauss, sr.l2_support)
-        elif kind == "measure-homotopy":
-            op = _build_operator(params["operator"], "problem.operator")
-            phi = _build_poly(params["phi"], "problem.phi")
-            p = float(params["p"])
-            tol = float(params["solver"].get("tol", 1e-9))
-            header = ["n_theta", "n_phi", "residual_max", "diff_to_prev_l2", "order"]
-            sols = []
-            prev_diff = None
-            for nt, nph in params["grids"]:
-                grid = build_grid(int(nt), int(nph))
-                prob = MeasureProblem(op, p, phi, grid)
-                sched = HomotopySchedule(newton_tol=tol)
-                field, _ = homotopy_solve(prob, sched)
-                res_max = verify_apriori_bounds(field, prob).residual_max
-                if sols:
-                    d = field_difference(sols[-1], field, "l2")
-                    rows.append((nt, nph, res_max, d, _order_cell(prev_diff, d)))
-                    prev_diff = d
-                else:
-                    rows.append((nt, nph, res_max, "n/a", "n/a"))
-                sols.append(field)
-        elif kind == "graph-manufactured":
-            surface = _build_surface(params.get("surface", {"kind": "cap", "radius": 2.0}),
-                                     "problem.surface")
-            k = int(params.get("k", 2))
-            q = float(params.get("q", 0.0))
-            dom = params.get("domain", (-1.0, 1.0, -1.0, 1.0))
-            tol = float(params["solver"].get("tol", 1e-10))
-            header = ["nx", "ny", "err_max", "order"]
-            prev = None
-            for nx, ny in params["grids"]:
-                grid = RectGrid(float(dom[0]), float(dom[1]), float(dom[2]),
-                                float(dom[3]), int(nx), int(ny))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    prob = GraphProblem(grid, k, q,
-                                        GraphRHS(samples=manufactured_H(surface, k, q, grid)),
-                                        dirichlet_boundary_from(surface, grid))
-                sol, _ = dirichlet_newton_solve(manufactured_start(surface, grid), prob,
-                                                tol=tol)
-                err = float(np.abs(sol.g - exact_field(surface, grid).g).max())
-                rows.append((nx, ny, err, _order_cell(prev, err)))
-                prev = err
-        elif kind == "graph-bound-probe":
-            qs = [float(q) for q in params.get("q_list", (-1.0, -0.5, 0.0, 0.5, 1.0))]
-            header = ["q", "nx", "ny", "sup_int_A", "sup_bnd_A", "ratio", "converged"]
-            campaign = bound_probe_campaign(
-                qs, [(int(a), int(b)) for a, b in params["grids"]],
-                k=int(params.get("k", 2)), radius=float(params.get("radius", 2.0)))
-            rows = [(r.q, r.nx, r.ny, r.sup_int_A, r.sup_bnd_A, r.ratio, r.converged)
-                    for r in campaign]
-            if not all(r.converged for r in campaign):
-                exit_code = EXIT_NONCONVERGENCE
+        for row in _study_rows(run):
+            raw.append(row)
     except NonconvergenceError as exc:
         exit_code = EXIT_NONCONVERGENCE
         if not quiet:
             print(f"study aborted: {exc}", file=sys.stderr)
+    if run.kind == "graph-bound-probe" and not all(row[-1] for row in raw):
+        exit_code = EXIT_NONCONVERGENCE
+    header = _STUDIES[run.kind][2]
+    rows = _with_orders(header, raw)
     write_csv(os.path.join(out_dir, "study.csv"), header, rows)
     if not quiet:
         for row in rows:

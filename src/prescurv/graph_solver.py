@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolationError, ConfigError, ConstructionError
+from .errors import ConeViolationError, ConfigError, ConstructionError, NonconvergenceError
 from .mat2 import eigvalsh_sym, inv_sqrt_spd, pencil_sigmas, sym2
 from .newton_core import Evaluation, damped_newton, greedy_groups, grid_pattern
 from .symmfunc import cone_margin
@@ -80,7 +80,7 @@ class RectGrid:
 
 def _d1(f, axis, h):
     """First derivative on the full grid: centered interior, second-order
-    one-sided at the two edges (probe usage only)."""
+    one-sided at the two edges (reporting only)."""
     f = np.moveaxis(f, axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
@@ -121,6 +121,11 @@ class GraphRHS:
         return vals
 
 
+def _check_order(k):
+    if not 1 <= k <= GRAPH_DIM:
+        raise ConfigError(f"k={k} out of range for {GRAPH_DIM}-dimensional graphs")
+
+
 @dataclass
 class GraphProblem:
     grid: RectGrid
@@ -130,8 +135,7 @@ class GraphProblem:
     boundary: np.ndarray  # full (nx, ny) array; only the boundary ring is used
 
     def __post_init__(self):
-        if not 1 <= self.k <= GRAPH_DIM:
-            raise ConfigError(f"k={self.k} out of range for {GRAPH_DIM}-dimensional graphs")
+        _check_order(self.k)
         if not math.isfinite(self.q):
             raise ConfigError("q must be finite")
         if self.q > 1.0:
@@ -180,6 +184,15 @@ def graph_shape(Dg, D2g):
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     lam = eigvalsh_sym(S)
     return lam, np.sqrt(np.sum(lam**2, axis=-1))
+
+
+def full_grid_shape(field):
+    """Principal curvatures and |A| at every node of the field's grid, from _d1
+    and _d2 (one-sided on the boundary ring); reporting only."""
+    grid, g = field.grid, field.g
+    Dg = np.stack([_d1(g, 0, grid.hx), _d1(g, 1, grid.hy)], axis=-1)
+    mixed = _d1(_d1(g, 0, grid.hx), 1, grid.hy)
+    return graph_shape(Dg, sym2(_d2(g, 0, grid.hx), mixed, _d2(g, 1, grid.hy)))
 
 
 def _interior_sigmas(grid, g):
@@ -294,6 +307,7 @@ def manufactured_H(solution, k, q, grid):
     can be verified against it.  Raises when the surface is inadmissible
     anywhere on the grid.
     """
+    _check_order(k)
     X1, X2 = grid.meshes()
     w, G, b = _graph_forms(*solution.derivatives(X1, X2))
     sig = pencil_sigmas(G, b)
@@ -307,12 +321,6 @@ def exact_field(solution, grid):
     return GraphField(grid, solution.height(X1, X2))
 
 
-def dirichlet_boundary_from(solution, grid):
-    """Full-grid array whose boundary ring carries the exact heights."""
-    X1, X2 = grid.meshes()
-    return solution.height(X1, X2)
-
-
 def manufactured_start(solution, grid, amplitude=1e-2):
     """Newton start for a manufactured problem: the exact heights plus the
     bump amplitude * sin(pi s) sin(pi t), with s, t the rectangle's unit
@@ -321,6 +329,15 @@ def manufactured_start(solution, grid, amplitude=1e-2):
     bump = (amplitude * np.sin(math.pi * (X1 - grid.a) / (grid.b - grid.a))
             * np.sin(math.pi * (X2 - grid.c) / (grid.d - grid.c)))
     return GraphField(grid, solution.height(X1, X2) + bump)
+
+
+def manufactured_problem(solution, grid, k, q):
+    """Dirichlet problem solved exactly by the given surface; raises
+    ConstructionError when the surface does not cover the grid (checked
+    first) or leaves Gamma_k on it."""
+    boundary = exact_field(solution, grid).g
+    return GraphProblem(grid, k, q, GraphRHS(samples=manufactured_H(solution, k, q, grid)),
+                        boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +397,9 @@ class CurvatureBoundProbe:
 
 
 def curvature_bound_probe(field, prob):
-    """sup|A| over interior and boundary nodes and their bound ratio.
-
-    |A| = sqrt(lambda_1^2 + lambda_2^2) from full-grid derivatives; the
-    boundary values come from one-sided second-order stencils and serve the
-    probe only.
-    """
+    """sup|A| (full_grid_shape) over interior and boundary nodes and their bound ratio."""
     grid = prob.grid
-    g = field.g
-    Dg = np.stack([_d1(g, 0, grid.hx), _d1(g, 1, grid.hy)], axis=-1)
-    D2g = np.empty(g.shape + (2, 2))
-    D2g[..., 0, 0] = _d2(g, 0, grid.hx)
-    D2g[..., 1, 1] = _d2(g, 1, grid.hy)
-    mixed = _d1(_d1(g, 0, grid.hx), 1, grid.hy)
-    D2g[..., 0, 1] = mixed
-    D2g[..., 1, 0] = mixed
-    _, A = graph_shape(Dg, D2g)
+    _, A = full_grid_shape(field)
     mask = grid.boundary_mask()
     sup_int = float(A[~mask].max())
     sup_bnd = float(A[mask].max())
@@ -420,28 +424,26 @@ class CampaignRow:
     converged: bool
 
 
+def bound_probe_row(prob, start, tol=1e-9, max_iter=40):
+    """Solve one manufactured problem and tabulate its curvature ratios; a
+    nonconvergent solve is recorded, not raised (q > 1 exploration is
+    expected to be allowed to fail)."""
+    grid = prob.grid
+    try:
+        sol, _ = dirichlet_newton_solve(start, prob, tol=tol, max_iter=max_iter)
+    except NonconvergenceError:
+        return CampaignRow(prob.q, grid.nx, grid.ny, math.nan, math.nan, math.nan, False)
+    probe = curvature_bound_probe(sol, prob)
+    return CampaignRow(prob.q, grid.nx, grid.ny, probe.sup_interior_A,
+                       probe.sup_boundary_A, probe.ratio, True)
+
+
 def bound_probe_campaign(qs, grid_sizes, k=2, radius=2.0, bounds=(-1.0, 1.0, -1.0, 1.0),
                          perturbation=1e-2, tol=1e-9, max_iter=40):
     """Solve the cap-manufactured problem across q and grids; tabulate the
-    interior/boundary curvature ratios.  Nonconvergent runs are recorded,
-    not raised (q > 1 exploration is expected to be allowed to fail)."""
-    from .errors import NonconvergenceError
-
-    rows = []
+    interior/boundary curvature ratios with bound_probe_row."""
     cap = CapSolution(radius)
-    for q in qs:
-        for (nx, ny) in grid_sizes:
-            grid = RectGrid(*bounds, nx, ny)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                prob = GraphProblem(grid, k, q, GraphRHS(samples=manufactured_H(cap, k, q, grid)),
-                                    dirichlet_boundary_from(cap, grid))
-            try:
-                sol, _ = dirichlet_newton_solve(manufactured_start(cap, grid, perturbation),
-                                                prob, tol=tol, max_iter=max_iter)
-                probe = curvature_bound_probe(sol, prob)
-                rows.append(CampaignRow(q, nx, ny, probe.sup_interior_A,
-                                        probe.sup_boundary_A, probe.ratio, True))
-            except NonconvergenceError:
-                rows.append(CampaignRow(q, nx, ny, math.nan, math.nan, math.nan, False))
-    return rows
+    grids = [RectGrid(*bounds, nx, ny) for nx, ny in grid_sizes]
+    return [bound_probe_row(manufactured_problem(cap, grid, k, q),
+                            manufactured_start(cap, grid, perturbation), tol, max_iter)
+            for q in qs for grid in grids]

@@ -35,9 +35,6 @@ class Poly3:
         """Build from [[coef, i, j, k], ...] as parsed from JSON."""
         return cls(terms=tuple((e[0], (e[1], e[2], e[3])) for e in entries))
 
-    def to_list(self):
-        return [[c, i, j, k] for c, (i, j, k) in self.terms]
-
     def __call__(self, a, b, c):
         """Real or complex arguments (complex-step differentiation of H(x, g))."""
         a, b, c = (np.asarray(v, dtype=np.result_type(v, float)) for v in (a, b, c))
@@ -50,11 +47,3 @@ class Poly3:
         """Evaluate at points x of shape (..., 3) (sphere density usage)."""
         x = np.asarray(x, dtype=float)
         return self(x[..., 0], x[..., 1], x[..., 2])
-
-    def is_constant(self):
-        return all(powers == (0, 0, 0) or coef == 0.0 for coef, powers in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return sum(c for c, _ in self.terms)

@@ -18,14 +18,11 @@ import conftest
 from prescurv.graph_solver import (
     CapSolution,
     GraphField,
-    GraphProblem,
-    GraphRHS,
     RectGrid,
     bound_probe_campaign,
-    dirichlet_boundary_from,
     dirichlet_newton_solve,
     exact_field,
-    manufactured_H,
+    manufactured_problem,
 )
 from prescurv.inequality_lab import (
     SampleConfig,
@@ -204,9 +201,7 @@ def test_criterion_06_graph_manufactured_recovery():
         errs = []
         for n in (17, 33, 65):
             grid = RectGrid(-1.0, 1.0, -1.0, 1.0, n, n)
-            prob = GraphProblem(grid, 2, q,
-                                GraphRHS(samples=manufactured_H(cap, 2, q, grid)),
-                                dirichlet_boundary_from(cap, grid))
+            prob = manufactured_problem(cap, grid, 2, q)
             X1, X2 = grid.meshes()
             bump = 1e-2 * np.sin(math.pi * (X1 + 1) / 2) * np.sin(math.pi * (X2 + 1) / 2)
             start = GraphField(grid, exact_field(cap, grid).g + bump)

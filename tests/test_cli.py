@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from prescurv.cli import main, parse_config
+from prescurv.cli import MODES, main, parse_config
 from prescurv.errors import ConfigError
+from prescurv.measure_solver import HomotopySchedule
 from prescurv.reporting import sha256_file
 
 
@@ -37,7 +39,7 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
     rc = parse_config(path)
     assert rc.mode == "solve-measure"
     assert rc.payload.method == "homotopy"
-    assert rc.payload.tol == 1e-9
+    assert rc.payload.schedule == HomotopySchedule()
     assert rc.payload.problem.op.k == 2
 
 
@@ -67,9 +69,9 @@ def test_parse_rejects_poly_H_at_the_H_block(tmp_path, monkeypatch):
     from prescurv import cli
 
     def no_problem(*args, **kwargs):
-        raise AssertionError("GraphProblem built for a poly-H config")
+        raise AssertionError("graph problem built for a poly-H config")
 
-    monkeypatch.setattr(cli, "GraphProblem", no_problem)
+    monkeypatch.setattr(cli, "manufactured_problem", no_problem)
     cfg = {"mode": "solve-graph",
            "problem": {"domain": [-1, 1, -1, 1], "grid": [9, 9], "k": 2, "q": 0.5,
                        "H": {"kind": "poly", "terms": [[1.0, 0, 0, 0]]}}}
@@ -360,3 +362,119 @@ def test_missing_config_is_usage_error(tmp_path):
     code = main(["solve-measure", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 1
+
+
+TILTED_MEASURE = {"operator": {"kind": "sigma_k", "k": 2}, "p": 1.0,
+                  "phi": [[1.0, 0, 0, 0], [0.2, 0, 0, 1]]}
+
+# study.csv digests, one config per kind: a change to how studies are
+# parsed or their rows assembled must leave every byte in place
+STUDY_DIGESTS = [
+    ({"kind": "ellipsoid-curvature", "grids": [[16, 32], [32, 64]]},
+     "52100c740a393e53a15614b2ed515267ba38e69edcc5502db4281081b555af5e"),
+    ({"kind": "structure-equations", "grids": [[12, 24], [24, 48]]},
+     "eca10a86e5f83783a8a38851d51f7096a3cdaeb93ae6d6a28b26fca3623e0d9a"),
+    ({"kind": "measure-homotopy", "grids": [[8, 16], [16, 32], [32, 64]],
+      **TILTED_MEASURE},
+     "b75de6c91bec22de9dd91746eab9edd8ba5bab1a2b59472e05ad4d11140f9d0a"),
+    ({"kind": "graph-manufactured", "grids": [[9, 9], [17, 17]], "q": 0.5},
+     "01d17bdbf1498123561fb7f0f150a196e241147f0e94dfc2a218c1dd8b36e413"),
+    ({"kind": "graph-bound-probe", "grids": [[9, 9], [17, 17]], "q_list": [-1.0, 0.5]},
+     "672927d992e0488ac2543fc67f05ced558d298769f75bf100c58adffded7628a"),
+]
+
+
+@pytest.mark.parametrize("problem, digest", STUDY_DIGESTS,
+                         ids=[p["kind"] for p, _ in STUDY_DIGESTS])
+def test_convergence_study_csv_is_pinned(tmp_path, problem, digest):
+    path = write_config(tmp_path, {"mode": "convergence-study", "problem": problem})
+    out = tmp_path / "out"
+    assert main(["convergence-study", "--config", path, "--out", str(out),
+                 "--quiet"]) == 0
+    assert sha256_file(str(out / "study.csv")) == digest
+
+
+def cap_graph(radius):
+    return {"domain": [-1, 1, -1, 1], "grid": [9, 9], "k": 2, "q": 0.5,
+            "H": {"kind": "manufactured", "surface": {"kind": "cap", "radius": radius}},
+            "boundary": {"kind": "surface"}}
+
+
+PARSE_FAULTS = [
+    ("convergence-study",
+     {"kind": "measure-homotopy", "grids": [[8, 16]],
+      **TILTED_MEASURE, "operator": {"kind": "sigma_k", "k": 5}},
+     None, "operator order k=5 out of range"),
+    ("convergence-study",
+     {"kind": "measure-homotopy", "grids": [[8, 16]], "p": 1.0, "phi": [[1.0, 0, 0, 0]]},
+     None, "problem: missing required key 'operator'"),
+    ("convergence-study",
+     {"kind": "graph-manufactured", "grids": [[9, 9]], "ellipsoid": [1.0, 1.0, 1.0]},
+     None, r"problem: unknown key\(s\) \['ellipsoid'\]"),
+    ("convergence-study", {"kind": "ellipsoid-curvature", "grids": [[16, 32]]},
+     {"tol": 1e-9}, r"solver: unknown key\(s\) \['tol'\]"),
+    ("convergence-study", {"kind": "graph-bound-probe", "grids": [[9, 9]], "radius": 1.0},
+     None, "problem.radius: cap domain exceeds its radius"),
+    ("solve-graph", cap_graph(1.0), None, "problem.H.surface: cap domain exceeds its radius"),
+    ("solve-graph", {**cap_graph(2.0), "k": 3}, None, "k=3 out of range"),
+    ("solve-graph",
+     {**cap_graph(2.0), "H": {"kind": "manufactured",
+                              "surface": {"kind": "paraboloid", "alpha": 0.25}}},
+     None, "problem.H.surface: manufactured surface leaves Gamma_2"),
+]
+
+
+@pytest.mark.parametrize("mode, problem, solver, match", PARSE_FAULTS)
+def test_config_faults_stop_at_parse_time(tmp_path, mode, problem, solver, match):
+    cfg = {"mode": mode, "problem": problem}
+    if solver is not None:
+        cfg["solver"] = solver
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main([mode, "--config", path, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "measure-homotopy", "grids": [[8, 16]], **TILTED_MEASURE},
+    {"kind": "graph-manufactured", "grids": [[9, 9]], "q": 0.5},
+    {"kind": "graph-bound-probe", "grids": [[9, 9]], "q_list": [0.5]},
+], ids=lambda p: p["kind"])
+def test_convergence_study_passes_solver_block_on(tmp_path, problem):
+    path = write_config(tmp_path, {"mode": "convergence-study", "problem": problem,
+                                   "solver": {"tol": 1e-12, "max_iter": 1}})
+    for case in parse_config(path).payload.cases:
+        measure = problem["kind"] == "measure-homotopy"
+        assert (case.schedule.newton_tol if measure else case.tol) == 1e-12
+    out = tmp_path / "out"
+    assert main(["convergence-study", "--config", path, "--out", str(out),
+                 "--quiet"]) == 2
+    assert (out / "study.csv").exists()
+
+
+@pytest.mark.parametrize("problem, match", [
+    ({"alpha_list": [0.5, -1.0]}, "problem.alpha_list: alpha values must be positive"),
+    ({"alpha_list": [0.5, 0.5]}, "problem.alpha_list: alpha values must differ"),
+    ({"sample_count": -1}, "problem.sample_count: sample_count must be nonnegative"),
+    ({"pairs": [[3, 2], [2, 3]]}, r"problem.pairs \[2, 3\]: need 2 <= k <= n <= 8"),
+])
+def test_inequality_faults_name_their_key(tmp_path, problem, match):
+    path = write_config(tmp_path, {"mode": "verify-inequalities",
+                                   "problem": {"pairs": [[3, 2]], **problem}})
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+    assert main(["verify-inequalities", "--config", path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 1
+
+
+def test_readme_json_configs_parse(tmp_path):
+    # every config the README shows goes through the strict parser, so the
+    # docs cannot drift from it; each mode has at least one example
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    modes = [parse_config(write_config(tmp_path, json.loads(block), f"readme{i}.json")).mode
+             for i, block in enumerate(blocks)]
+    assert set(modes) == set(MODES)

@@ -14,12 +14,12 @@ from prescurv.graph_solver import (
     RectGrid,
     bound_probe_campaign,
     curvature_bound_probe,
-    dirichlet_boundary_from,
     dirichlet_newton_solve,
     exact_field,
     graph_residual,
     graph_shape,
     manufactured_H,
+    manufactured_problem,
     manufactured_start,
 )
 from prescurv.polynomials import Poly3
@@ -30,9 +30,7 @@ SQUARE = (-1.0, 1.0, -1.0, 1.0)
 
 def cap_problem(n, k=2, q=0.0):
     grid = RectGrid(*SQUARE, n, n)
-    H = manufactured_H(CAP, k, q, grid)
-    return GraphProblem(grid, k, q, GraphRHS(samples=H),
-                        dirichlet_boundary_from(CAP, grid))
+    return manufactured_problem(CAP, grid, k, q)
 
 
 def perturbed_cap_start(grid, amp=1e-2):
@@ -205,10 +203,8 @@ def test_tilted_cap_manufactured_recovery():
     errs = []
     for n in (17, 33):
         grid = RectGrid(*SQUARE, n, n)
-        H = manufactured_H(tilted, 2, 0.5, grid)
-        assert H.std() > 1e-3
-        prob = GraphProblem(grid, 2, 0.5, GraphRHS(samples=H),
-                            dirichlet_boundary_from(tilted, grid))
+        prob = manufactured_problem(tilted, grid, 2, 0.5)
+        assert prob.H.samples.std() > 1e-3
         X1, X2 = grid.meshes()
         bump = 1e-2 * np.sin(math.pi * (X1 + 1) / 2) * np.sin(math.pi * (X2 + 1) / 2)
         start = GraphField(grid, exact_field(tilted, grid).g + bump)

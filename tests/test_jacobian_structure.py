@@ -11,13 +11,10 @@ import pytest
 from prescurv import graph_solver, measure_solver, newton_core
 from prescurv.graph_solver import (
     CapSolution,
-    GraphProblem,
-    GraphRHS,
     RectGrid,
     _interior_neighbors,
-    dirichlet_boundary_from,
     dirichlet_newton_solve,
-    manufactured_H,
+    manufactured_problem,
     manufactured_start,
 )
 from prescurv.measure_solver import MeasureProblem, newton_solve
@@ -169,8 +166,7 @@ def test_graph_pattern_is_built_once_per_grid(monkeypatch):
     builds = count_builds(monkeypatch)
     cap = CapSolution(2.0)
     grid = rect_grid(9)
-    prob = GraphProblem(grid, 2, 0.5, GraphRHS(samples=manufactured_H(cap, 2, 0.5, grid)),
-                        dirichlet_boundary_from(cap, grid))
+    prob = manufactured_problem(cap, grid, 2, 0.5)
     for _ in range(2):
         _, rep = dirichlet_newton_solve(manufactured_start(cap, grid), prob)
         assert rep.iterations > 0

@@ -15,7 +15,6 @@ from prescurv.graph_solver import (
     GraphProblem,
     GraphRHS,
     RectGrid,
-    dirichlet_boundary_from,
     exact_field,
     manufactured_H,
 )
@@ -56,7 +55,7 @@ def graph_case(H=None):
     cap = CapSolution(2.0)
     grid = RectGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
     H = H or GraphRHS(samples=manufactured_H(cap, 2, 0.5, grid))
-    prob = GraphProblem(grid, 2, 0.5, H, dirichlet_boundary_from(cap, grid))
+    prob = GraphProblem(grid, 2, 0.5, H, exact_field(cap, grid).g)
     X1, X2 = grid.meshes()
     g = exact_field(cap, grid).g + 0.01 * np.cos(math.pi * X1 / 2) * np.cos(math.pi * X2 / 2)
     x = g[1:-1, 1:-1].ravel()

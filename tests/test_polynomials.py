@@ -23,17 +23,9 @@ def test_unit_vector_evaluation():
     np.testing.assert_allclose(p.eval_unit_vectors(x), [1.2, 0.8])
 
 
-def test_json_round_trip():
+def test_from_list_reads_json_monomials():
     p = Poly3.from_list([[1.0, 0, 0, 0], [0.2, 0, 0, 1]])
-    assert Poly3.from_list(p.to_list()) == p
-
-
-def test_constant_detection():
-    assert Poly3.constant(3.0).is_constant()
-    assert Poly3.constant(3.0).constant_value() == 3.0
-    assert not Poly3(((1.0, (1, 0, 0)),)).is_constant()
-    with pytest.raises(ValueError):
-        Poly3(((1.0, (1, 0, 0)),)).constant_value()
+    assert p == Poly3(((1.0, (0, 0, 0)), (0.2, (0, 0, 1))))
 
 
 def test_negative_powers_rejected():
