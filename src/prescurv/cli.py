@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .graph_solver import (
 )
 from .inequality_lab import (
     SampleConfig,
+    check_ivochkina_args,
     check_ivochkina_condition,
     run_campaign,
     write_campaign_csv,
@@ -49,6 +50,7 @@ from .measure_solver import (
     newton_solve,
     verify_apriori_bounds,
 )
+from .newton_core import check_limits
 from .polynomials import Poly3
 from .reporting import sha256_file, utc_now, write_csv, write_json, write_manifest
 from .sphere_geometry import (
@@ -228,6 +230,7 @@ def _homotopy_schedule(solver):
 
 def _manufactured_run(surface, grid, k, q, path, tol, max_iter, perturb_start=1e-2):
     """GraphRun of the surface's manufactured problem; its faults are config errors at path."""
+    check_limits(tol=tol, max_iter=max_iter)
     with _config_path(path):
         prob = manufactured_problem(surface, grid, k, q)
     return GraphRun(prob, surface, manufactured_start(surface, grid, perturb_start),
@@ -301,12 +304,15 @@ def _parse_inequalities(problem, solver, seed):
                                         seed=seed, spectrum_box=box,
                                         direction_scale=scale))
     ivo = []
-    for entry in problem.get("ivochkina", []):
-        _check_keys(entry, {"k", "q", "p_box", "grid"}, "problem.ivochkina[]")
-        ivo.append({"k": int(_require(entry, "k", "ivochkina")),
-                    "q": float(_require(entry, "q", "ivochkina")),
-                    "p_box": float(entry.get("p_box", 3.0)),
-                    "grid": int(entry.get("grid", 33))})
+    for i, entry in enumerate(problem.get("ivochkina", [])):
+        path = f"problem.ivochkina[{i}]"
+        _check_keys(entry, {"k", "q", "p_box", "grid"}, path)
+        with _config_path(path):
+            k, p_box, grid = (int(_require(entry, "k", path)),
+                              float(entry.get("p_box", 3.0)), int(entry.get("grid", 33)))
+            check_ivochkina_args(k, p_box, grid)
+            ivo.append({"k": k, "q": float(_require(entry, "q", path)),
+                        "p_box": p_box, "grid": grid})
     return InequalityRun(configs=configs, ivochkina=ivo,
                          write_records=bool(problem.get("write_records", True)))
 
@@ -376,51 +382,46 @@ def _parse_study(problem, solver, seed):
 # mode runners
 
 
-def _partial_newton(exc):
-    """Newton block of a failed solve, from the (report, x) that its error
-    carries."""
-    rep, _ = exc.diagnostics
-    return {**_newton_counts(rep), "residual_history": rep.residual_history,
-            "message": rep.message}
+def _newton_block(rep):
+    """report.json block of a SolveReport; a failed solve adds its message."""
+    block = {"iterations": rep.iterations, "factorizations": rep.factorizations,
+             "refactor_reasons": rep.refactor_reasons,
+             "residual_history": rep.residual_history}
+    if not rep.converged:
+        block["message"] = rep.message
+    return block
 
 
-def _newton_counts(rep):
-    """Corrections, factorizations and refactor reasons of a SolveReport."""
-    return {"iterations": rep.iterations, "factorizations": rep.factorizations,
-            "refactor_reasons": rep.refactor_reasons}
+def _record_failure(payload, exc):
+    """Write a NonconvergenceError into payload (its message, the failure's
+    cause and t, the partial newton and homotopy blocks it carries) and
+    return the nonconvergence exit code."""
+    failure = exc.diagnostics
+    payload["error"] = str(exc)
+    payload["failure"] = {"cause": failure.cause, "t": failure.t}
+    payload["newton"] = _newton_block(failure.report)
+    if failure.trace is not None:
+        payload["homotopy"] = asdict(failure.trace)
+    return EXIT_NONCONVERGENCE
 
 
 def _run_measure(run, out_dir, quiet, echo=None):
-    exit_code = EXIT_OK
     payload = {"mode": "solve-measure", "config_echo": echo}
-    field = None
     sched = run.schedule
-    if run.method == "homotopy":
-        try:
+    try:
+        if run.method == "homotopy":
             field, trace = homotopy_solve(run.problem, sched)
-        except NonconvergenceError as exc:
-            trace = exc.diagnostics
-            exit_code = EXIT_NONCONVERGENCE
-            payload["error"] = str(exc)
-        if trace is not None:
-            payload["homotopy"] = {
-                "success": bool(getattr(trace, "success", False)),
-                "steps": [vars(s) for s in getattr(trace, "steps", [])],
-                "rejections": [list(r) for r in getattr(trace, "rejections", [])],
-            }
-    else:
-        r0 = run.start_radius or initial_sphere_radius(run.problem.op, run.problem.p)
-        try:
+            payload["homotopy"] = asdict(trace)
+        else:
+            r0 = run.start_radius or initial_sphere_radius(run.problem.op, run.problem.p)
             field, report = newton_solve(RadialField.constant(run.problem.grid, r0),
                                          run.problem, tol=sched.newton_tol,
                                          max_iter=sched.newton_max_iter)
-            payload["newton"] = {**_newton_counts(report),
-                                 "residual_history": report.residual_history}
-        except NonconvergenceError as exc:
-            exit_code = EXIT_NONCONVERGENCE
-            payload["error"] = str(exc)
-            payload["newton"] = _partial_newton(exc)
-    if field is not None:
+            payload["newton"] = _newton_block(report)
+    except NonconvergenceError as exc:
+        exit_code = _record_failure(payload, exc)
+    else:
+        exit_code = EXIT_OK
         bounds = verify_apriori_bounds(field, run.problem,
                                        residual_tol=max(sched.newton_tol, 1e-8))
         payload["bounds"] = vars(bounds)
@@ -443,20 +444,16 @@ def _graph_solution_csv(field, path):
 
 
 def _run_graph(run, out_dir, quiet, echo=None):
-    exit_code = EXIT_OK
     payload = {"mode": "solve-graph", "config_echo": echo}
-    field = None
     try:
         field, report = dirichlet_newton_solve(run.start, run.problem,
                                                tol=run.tol, max_iter=run.max_iter)
-        payload["newton"] = {**_newton_counts(report),
-                             "residual_history": report.residual_history,
-                             "min_cone_margin": min(report.cone_margin_history)}
     except NonconvergenceError as exc:
-        exit_code = EXIT_NONCONVERGENCE
-        payload["error"] = str(exc)
-        payload["newton"] = _partial_newton(exc)
-    if field is not None:
+        exit_code = _record_failure(payload, exc)
+    else:
+        exit_code = EXIT_OK
+        payload["newton"] = {**_newton_block(report),
+                             "min_cone_margin": min(report.cone_margin_history)}
         probe = curvature_bound_probe(field, run.problem)
         payload["probe"] = vars(probe)
         write_json(os.path.join(out_dir, "probe.json"), vars(probe))

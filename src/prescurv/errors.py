@@ -1,5 +1,7 @@
 """Exception types shared across the solver and lab modules."""
 
+from dataclasses import dataclass
+
 
 class ConeViolationError(ValueError):
     """A spectrum left the admissibility cone where membership is required.
@@ -24,14 +26,30 @@ class StartRadiusError(ValueError):
     """The round-sphere start equation has no positive root."""
 
 
-class NonconvergenceError(RuntimeError):
-    """Newton or continuation failed to converge.
+@dataclass
+class SolveFailure:
+    """Why and where a solve stopped.
 
-    ``diagnostics`` holds the last solver state (report, field, trace)
-    so failed runs can still be inspected and archived.
+    cause: "inadmissible_start", "max_iter", "singular" or "line_search"
+    (damped_newton), or "step_underflow" (homotopy_solve).  x: the flat
+    unknowns where it stopped (the last accepted rho on underflow).
+    report: the failed Newton solve's SolveReport (the last rejected
+    corrector's on underflow).  trace, t: the HomotopyTrace and t of a
+    failure inside continuation, None outside it.
     """
 
-    def __init__(self, message, diagnostics=None):
+    cause: str
+    x: object
+    report: object
+    trace: object = None
+    t: float | None = None
+
+
+class NonconvergenceError(RuntimeError):
+    """Newton or continuation failed to converge; ``diagnostics`` is the
+    SolveFailure, so failed runs can still be inspected and archived."""
+
+    def __init__(self, message, diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
 

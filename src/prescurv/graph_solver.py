@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolationError, ConfigError, ConstructionError, NonconvergenceError
-from .mat2 import eigvalsh_sym, inv_sqrt_spd, pencil_sigmas, sym2
+from .mat2 import pencil_sigmas, shape_operator, sym2
 from .newton_core import Evaluation, damped_newton, greedy_groups, grid_pattern
 from .symmfunc import cone_margin
 
@@ -175,14 +175,11 @@ def graph_shape(Dg, D2g):
     """Principal curvatures and |A| of a graph point from its derivatives.
 
     Dg has shape (..., 2), D2g shape (..., 2, 2).  Curvatures are the
-    eigenvalues of g^{-1/2} b g^{-1/2} with the forms of _graph_forms.
-    Reporting only: the solve works on pencil_sigmas of the same forms.
+    shape_operator eigenvalues of the forms of _graph_forms.  Reporting
+    only: the solve works on pencil_sigmas of the same forms.
     """
     _, G, b = _graph_forms(np.asarray(Dg, dtype=float), np.asarray(D2g, dtype=float))
-    gis = inv_sqrt_spd(G)
-    S = gis @ b @ gis
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    lam = eigvalsh_sym(S)
+    _, lam = shape_operator(G, b)
     return lam, np.sqrt(np.sum(lam**2, axis=-1))
 
 
@@ -370,7 +367,7 @@ def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
 
     Same contract as the sphere solver: complex-step Jacobian in
     structurally orthogonal groups, chord steps, Armijo backtracking, cone
-    veto; ConeViolationError when the start is not admissible.
+    veto; NonconvergenceError with damped_newton's SolveFailure.
     """
     x, report = damped_newton(
         start.g[1:-1, 1:-1].ravel(),

@@ -233,6 +233,17 @@ class IvochkinaReport:
     n: int
 
 
+def check_ivochkina_args(k, p_box, grid, n=2):
+    """ValueError unless 1 <= k <= n, p_box is finite and > 0 and the scan
+    has at least 16 points per axis."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range 1..{n}")
+    if not (p_box > 0 and math.isfinite(p_box)):
+        raise ValueError(f"p_box must be finite and > 0, got {p_box!r}")
+    if grid < 16:
+        raise ValueError("need at least 16 scan points per axis")
+
+
 def check_ivochkina_condition(k, q, p_box=3.0, grid=33, n=2):
     """Scan the gradient-convexity condition for the model right-hand side.
 
@@ -245,8 +256,7 @@ def check_ivochkina_condition(k, q, p_box=3.0, grid=33, n=2):
     over the hypercube [-p_box, p_box]^n (max|p|^2 = n p_box^2 at the
     corners).  Returns the worst margin and where it occurs.
     """
-    if grid < 16:
-        raise ValueError("need at least 16 scan points per axis")
+    check_ivochkina_args(k, p_box, grid, n)
     m = (k - q) / (2.0 * k)
     axes = [np.linspace(-p_box, p_box, grid)] * n
     mesh = np.meshgrid(*axes, indexing="ij")

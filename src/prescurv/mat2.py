@@ -51,3 +51,12 @@ def eigvalsh_sym(S):
     mean = 0.5 * (a + d)
     rad = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b * b, 0.0))
     return np.stack([mean - rad, mean + rad], axis=-1)
+
+
+def shape_operator(g, b):
+    """S = g^{-1/2} b g^{-1/2}, symmetrised against rounding, and its
+    eigenvalues (ascending): the principal curvatures of the pair (g, b)."""
+    gis = inv_sqrt_spd(g)
+    S = gis @ b @ gis
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    return S, eigvalsh_sym(S)

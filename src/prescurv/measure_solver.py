@@ -25,10 +25,11 @@ from .errors import (
     ConeViolationError,
     ConfigError,
     NonconvergenceError,
+    SolveFailure,
     StartRadiusError,
 )
 from .mat2 import pencil_sigmas
-from .newton_core import Evaluation, damped_newton, grid_pattern
+from .newton_core import Evaluation, check_limits, damped_newton, grid_pattern
 from .polynomials import Poly3
 from .sphere_geometry import RadialField, radial_forms, radial_geometry
 from .symmfunc import OperatorSpec, cone_margin, sigma
@@ -101,6 +102,10 @@ class HomotopySchedule:
     dt_min: float = 1e-4
     newton_tol: float = 1e-9
     newton_max_iter: int = 30
+
+    def __post_init__(self):
+        check_limits(tol=self.newton_tol, max_iter=self.newton_max_iter,
+                     dt_init=self.dt_init, dt_min=self.dt_min)
 
 
 @dataclass
@@ -177,9 +182,8 @@ def _jacobian_pattern(grid):
 def newton_solve(start, prob, tol=1e-10, max_iter=30):
     """Damped Newton from an admissible start field.
 
-    Returns (RadialField, SolveReport); raises ConeViolationError when the
-    start is not admissible, and NonconvergenceError with the partial
-    report attached when the cone veto or iteration cap bites.
+    Returns (RadialField, SolveReport); raises NonconvergenceError with
+    damped_newton's SolveFailure.
     """
     phi_vals = prob.phi_values()
     x, report = damped_newton(
@@ -232,8 +236,9 @@ def homotopy_solve(prob, schedule=None):
     the contraction of the corrector's first two Newton steps (Deuflhard,
     Newton Methods for Nonlinear Problems, Springer 2004).  A failed
     corrector halves dt; below schedule.dt_min a NonconvergenceError
-    carries the partial trace (the expected outcome for out-of-theory
-    parameters such as p > 1).  The last step lands on t = 1 exactly.
+    with cause "step_underflow" carries the partial trace (the expected
+    outcome for out-of-theory parameters such as p > 1), as does a failed
+    corrector at t = 0.  The last step lands on t = 1 exactly.
     """
     sched = schedule or HomotopySchedule()
     trace = HomotopyTrace()
@@ -248,8 +253,8 @@ def homotopy_solve(prob, schedule=None):
         try:
             out, rep = newton_solve(start, sub, tol=sched.newton_tol,
                                     max_iter=sched.newton_max_iter)
-        except ConeViolationError:
-            if not predicted:
+        except NonconvergenceError as exc:
+            if not predicted or exc.diagnostics.cause != "inadmissible_start":
                 raise
             predicted = False
             out, rep = newton_solve(fallback, sub, tol=sched.newton_tol,
@@ -263,7 +268,11 @@ def homotopy_solve(prob, schedule=None):
         trace.steps.append(step)
         return out, step
 
-    field, _ = solve_at(0.0, field)
+    try:
+        field, _ = solve_at(0.0, field)
+    except NonconvergenceError as exc:
+        exc.diagnostics.trace, exc.diagnostics.t = trace, 0.0
+        raise
 
     # constant data (phi identically 1) makes every phi_t the same problem:
     # carry the t=0 solution straight to t=1
@@ -293,7 +302,8 @@ def homotopy_solve(prob, schedule=None):
             if dt < sched.dt_min:
                 raise NonconvergenceError(
                     f"continuation stalled at t = {t:.6f} (step underflow)",
-                    diagnostics=trace)
+                    SolveFailure("step_underflow", field.rho.ravel(),
+                                 exc.diagnostics.report, trace, t))
             continue
         step.dt_factor = _dt_factor(step.contraction)
         prev = (t, field.rho)

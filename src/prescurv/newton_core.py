@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConeViolationError, NonconvergenceError
+from .errors import ConfigError, NonconvergenceError, SolveFailure
 
 ARMIJO_C = 1e-4
 # a chord step (old factor) is taken only while it is at most this
@@ -181,29 +181,41 @@ def factorize(J):
     return splu(J, permc_spec=PERMC_SPEC)
 
 
+def check_limits(**limits):
+    """ConfigError naming the first solver limit (tol, max_iter, dt_init,
+    dt_min) that is not a finite number > 0."""
+    for name, value in limits.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def damped_newton(x0, eval_fn, pattern, tol, max_iter):
     """Chord Newton iteration on a flat unknown vector.
 
     eval_fn(x) -> Evaluation.  pattern is the JacobianPattern of the
     unknowns (see grid_pattern).  Returns (x, SolveReport); raises
-    ConeViolationError when the start is not admissible, and
-    NonconvergenceError (with (report, x) attached as diagnostics) when
-    the Jacobian is singular, the line search stalls or max_iter runs out.
+    NonconvergenceError with a SolveFailure (last iterate, partial report)
+    whose cause is "inadmissible_start" (after the one start evaluation),
+    "singular", "line_search" or "max_iter".
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport()
+
+    def fail(cause, message):
+        report.message = message
+        return NonconvergenceError(message, SolveFailure(cause, x, report))
+
     ev = eval_fn(x)
-    if not ev.admissible:
-        raise ConeViolationError("start point is not admissible")
     rnorm = float(np.abs(ev.residual).max())
     report.residual_history.append(rnorm)
     report.cone_margin_history.append(ev.cone_margin)
     report.aux_history.append(ev.aux)
+    if not ev.admissible:
+        raise fail("inadmissible_start", "start point is not admissible")
     lu, reason = None, "start"
     while rnorm > tol:
         if report.iterations >= max_iter:
-            report.message = f"no convergence in {max_iter} iterations"
-            raise NonconvergenceError(report.message, diagnostics=(report, x))
+            raise fail("max_iter", f"no convergence in {max_iter} iterations")
         accepted = None
         if lu is not None:
             step = lu.solve(-ev.residual)
@@ -218,15 +230,13 @@ def damped_newton(x0, eval_fn, pattern, tol, max_iter):
             try:
                 lu = factorize(J)
             except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
-                report.message = f"singular Jacobian: {exc}"
-                raise NonconvergenceError(report.message, diagnostics=(report, x))
+                raise fail("singular", f"singular Jacobian: {exc}")
             report.factorizations += 1
             report.refactor_reasons.append(reason)
             step = lu.solve(-ev.residual)
             accepted = _line_search(x, step, ev, eval_fn, MAX_BACKTRACKS)
             if accepted is None:
-                report.message = "line search found no admissible decreasing step"
-                raise NonconvergenceError(report.message, diagnostics=(report, x))
+                raise fail("line_search", "line search found no admissible decreasing step")
         x, ev, s, halvings = accepted
         if s < 1.0:
             lu, reason = None, "damped"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StarshapednessError
-from .mat2 import eigvalsh_sym, inv_sqrt_spd, sym2
+from .mat2 import shape_operator, sym2
 from .newton_core import greedy_groups
 from .reporting import write_csv
 
@@ -264,10 +264,7 @@ def radial_geometry(field):
     X = rho[..., None] * grid.nodes
     grad_vec = grad[..., 0, None] * grid.e_theta + grad[..., 1, None] * grid.e_phi
     nu = (X - grad_vec) / w[..., None]
-    gis = inv_sqrt_spd(metric)
-    S = gis @ b @ gis
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    principal = eigvalsh_sym(S)
+    S, principal = shape_operator(metric, b)
     geo = SurfaceGeometry(field, X, nu, u, metric, S, principal, grad, hess, w, b)
     for arr in (X, nu, u, metric, S, principal, grad, hess, w, b):
         arr.flags.writeable = False

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 
@@ -467,6 +468,93 @@ def test_inequality_faults_name_their_key(tmp_path, problem, match):
         parse_config(path)
     assert main(["verify-inequalities", "--config", path, "--out",
                  str(tmp_path / "out"), "--quiet"]) == 1
+
+
+def test_inadmissible_graph_start_writes_its_failure(tmp_path):
+    path = write_config(tmp_path, {"mode": "solve-graph", "problem": cap_graph(2.0),
+                                   "solver": {"perturb_start": 10.0}})
+    out = tmp_path / "out"
+    assert main(["solve-graph", "--config", path, "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"] == {"cause": "inadmissible_start", "t": None}
+    assert report["newton"]["iterations"] == 0
+    assert report["newton"]["message"] == "start point is not admissible"
+    assert not (out / "solution.csv").exists()
+
+
+def test_failed_first_corrector_writes_newton_and_homotopy(tmp_path, monkeypatch):
+    from prescurv import measure_solver
+
+    radius = measure_solver.initial_sphere_radius
+    monkeypatch.setattr(measure_solver, "initial_sphere_radius",
+                        lambda op, p: 1.5 * radius(op, p))
+    path = write_config(tmp_path, minimal_measure(
+        grid=(8, 16), phi=[[1.0, 0, 0, 0], [0.2, 0, 0, 1]], solver={"max_iter": 2}))
+    out = tmp_path / "out"
+    assert main(["solve-measure", "--config", path, "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"] == {"cause": "max_iter", "t": 0.0}
+    assert report["newton"]["iterations"] == 2
+    assert len(report["newton"]["residual_history"]) == 3
+    assert report["homotopy"] == {"success": False, "steps": [], "rejections": []}
+
+
+def with_ivochkina(**entry):
+    return {"pairs": [[3, 2]], "sample_count": 10,
+            "ivochkina": [{"k": 2, "q": 0.0, **entry}]}
+
+
+# configs that once ended in a traceback, a hang or a wasted solve: each
+# must stop with exit 1 and name its key, or fail as a solve with exit 2
+CLI_FAULTS = [
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"tol": -1}), 1, "tol"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"max_iter": 0}), 1, "max_iter"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"dt_init": 0}), 1, "dt_init"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"dt_init": -0.5}), 1, "dt_init"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"dt_min": 0}), 1, "dt_min"),
+    ("convergence-study",
+     {"mode": "convergence-study", "solver": {"tol": 0.0},
+      "problem": {"kind": "measure-homotopy", "grids": [[8, 16]], **TILTED_MEASURE}},
+     1, "tol"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": cap_graph(2.0), "solver": {"tol": -1}}, 1, "tol"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": cap_graph(2.0), "solver": {"max_iter": 0}},
+     1, "max_iter"),
+    ("convergence-study",
+     {"mode": "convergence-study", "solver": {"max_iter": 0},
+      "problem": {"kind": "graph-bound-probe", "grids": [[9, 9]]}}, 1, "max_iter"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(grid=8)},
+     1, r"problem.ivochkina\[0\]: need at least 16"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(k=9)},
+     1, r"problem.ivochkina\[0\]: k=9 out of range"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(k=0)},
+     1, r"problem.ivochkina\[0\]: k=0 out of range"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(p_box=0.0)},
+     1, r"problem.ivochkina\[0\]: p_box"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(p_box=math.inf)},
+     1, r"problem.ivochkina\[0\]: p_box"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": cap_graph(2.0), "solver": {"perturb_start": 10.0}},
+     2, None),
+]
+
+
+@pytest.mark.parametrize("mode, cfg, code, match", CLI_FAULTS, ids=[
+    "measure-tol", "measure-max_iter", "measure-dt_init-0", "measure-dt_init-neg",
+    "measure-dt_min", "study-measure-tol", "graph-tol", "graph-max_iter",
+    "study-probe-max_iter", "ivochkina-grid", "ivochkina-k9", "ivochkina-k0",
+    "ivochkina-p_box-0", "ivochkina-p_box-inf", "graph-perturb_start"])
+def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
+    path = write_config(tmp_path, cfg)
+    assert main([mode, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == code
+    if match is not None:
+        assert re.search(f"config error: .*{match}", capsys.readouterr().err)
 
 
 def test_readme_json_configs_parse(tmp_path):

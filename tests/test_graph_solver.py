@@ -13,6 +13,7 @@ from prescurv.graph_solver import (
     ParaboloidSolution,
     RectGrid,
     bound_probe_campaign,
+    bound_probe_row,
     curvature_bound_probe,
     dirichlet_newton_solve,
     exact_field,
@@ -219,6 +220,13 @@ def test_campaign_ratio_stability():
     for q in (-0.5, 0.5):
         ratios = [r.ratio for r in rows if r.q == q]
         assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.10
+
+
+def test_bound_probe_row_records_inadmissible_start():
+    prob = cap_problem(9, q=0.5)
+    row = bound_probe_row(prob, manufactured_start(CAP, prob.grid, 10.0))
+    assert not row.converged
+    assert math.isnan(row.ratio)
 
 
 def test_problem_validation():

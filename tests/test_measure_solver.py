@@ -14,6 +14,7 @@ from prescurv.errors import (
 )
 from prescurv.measure_solver import (
     HomotopySchedule,
+    HomotopyTrace,
     MeasureProblem,
     _jacobian_pattern,
     _soft_evaluate,
@@ -173,8 +174,9 @@ def test_newton_rejects_inadmissible_start():
     prob = make_problem(g)
     x3 = g.nodes[..., 2]
     bad = RadialField(g, 1.0 + 0.3 * (2 * x3**2 - 1.0))
-    with pytest.raises(ConeViolationError):
+    with pytest.raises(NonconvergenceError) as info:
         newton_solve(bad, prob)
+    assert info.value.diagnostics.cause == "inadmissible_start"
 
 
 def test_accepted_steps_decrease_residual_two_norm():
@@ -309,6 +311,43 @@ def test_homotopy_inadmissible_prediction_falls_back_to_u_t(monkeypatch):
         assert np.abs(residual(sol, prob)).max() <= 1e-8
         assert np.abs(sol.rho - ref.rho).max() <= 1e-8
     assert any(s.predicted for s in ref_trace.steps)
+
+
+def test_step_underflow_carries_last_accepted_state():
+    # every corrector past t = 0 needs more than one Newton step
+    g = build_grid(8, 16)
+    with pytest.raises(NonconvergenceError, match="step underflow") as info:
+        homotopy_solve(make_problem(g, phi=PHI_TILT), HomotopySchedule(newton_max_iter=1))
+    failure = info.value.diagnostics
+    assert (failure.cause, failure.t) == ("step_underflow", 0.0)
+    # dt = 0.1 halves ten times to 0.1 / 2**10 < dt_min = 1e-4
+    assert len(failure.trace.rejections) == 10
+    assert [s.t for s in failure.trace.steps] == [0.0]
+    np.testing.assert_array_equal(failure.x, np.full(g.n_theta * g.n_phi, 1.0))
+    assert failure.report.iterations == 1
+
+
+def test_failed_first_corrector_carries_the_trace(monkeypatch):
+    radius = measure_solver.initial_sphere_radius
+    monkeypatch.setattr(measure_solver, "initial_sphere_radius",
+                        lambda op, p: 1.5 * radius(op, p))
+    with pytest.raises(NonconvergenceError) as info:
+        homotopy_solve(make_problem(build_grid(8, 16), phi=PHI_TILT),
+                       HomotopySchedule(newton_max_iter=2))
+    failure = info.value.diagnostics
+    assert (failure.cause, failure.t) == ("max_iter", 0.0)
+    assert isinstance(failure.trace, HomotopyTrace)
+    assert not failure.trace.steps and not failure.trace.success
+    assert failure.report.iterations == 2
+
+
+@pytest.mark.parametrize("key, value", [("newton_tol", -1.0), ("newton_tol", math.nan),
+                                        ("newton_max_iter", 0), ("dt_init", 0.0),
+                                        ("dt_init", -0.5), ("dt_min", 0.0),
+                                        ("dt_min", math.inf)])
+def test_schedule_rejects_limits_that_are_not_positive(key, value):
+    with pytest.raises(ConfigError, match="must be finite and > 0"):
+        HomotopySchedule(**{key: value})
 
 
 def test_homotopy_solutions_depend_on_p():

@@ -9,7 +9,7 @@ import scipy.sparse
 
 import prescurv
 from prescurv import newton_core
-from prescurv.errors import ConeViolationError, NonconvergenceError
+from prescurv.errors import NonconvergenceError
 from prescurv.graph_solver import (
     CapSolution,
     GraphProblem,
@@ -216,8 +216,9 @@ def test_inadmissible_start_raises_cone_violation():
         ev = eval_fn(v)
         return Evaluation(ev.residual, False, ev.margin, ev.aux)
 
-    with pytest.raises(ConeViolationError):
+    with pytest.raises(NonconvergenceError) as info:
         damped_newton(x, vetoed, pattern, tol=1e-12, max_iter=20)
+    assert info.value.diagnostics.cause == "inadmissible_start"
     assert calls == 1
 
 
@@ -232,10 +233,10 @@ def test_singular_jacobian_raises_with_report_and_state():
                                [np.array([c]) for c in range(3)])
     with pytest.raises(NonconvergenceError, match="singular Jacobian") as info:
         damped_newton(x0, eval_fn, pattern, tol=1e-12, max_iter=5)
-    report, x = info.value.diagnostics
-    assert isinstance(report, SolveReport)
-    assert report.iterations == 0
-    np.testing.assert_array_equal(x, x0)
+    failure = info.value.diagnostics
+    assert isinstance(failure.report, SolveReport)
+    assert failure.report.iterations == 0
+    np.testing.assert_array_equal(failure.x, x0)
 
 
 def test_package_import_loads_no_scipy():
