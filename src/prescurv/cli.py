@@ -308,11 +308,11 @@ def _parse_inequalities(problem, solver, seed):
         path = f"problem.ivochkina[{i}]"
         _check_keys(entry, {"k", "q", "p_box", "grid"}, path)
         with _config_path(path):
-            k, p_box, grid = (int(_require(entry, "k", path)),
-                              float(entry.get("p_box", 3.0)), int(entry.get("grid", 33)))
-            check_ivochkina_args(k, p_box, grid)
-            ivo.append({"k": k, "q": float(_require(entry, "q", path)),
-                        "p_box": p_box, "grid": grid})
+            k, q, p_box, grid = (int(_require(entry, "k", path)),
+                                 float(_require(entry, "q", path)),
+                                 float(entry.get("p_box", 3.0)), int(entry.get("grid", 33)))
+            check_ivochkina_args(k, q, p_box, grid)
+            ivo.append({"k": k, "q": q, "p_box": p_box, "grid": grid})
     return InequalityRun(configs=configs, ivochkina=ivo,
                          write_records=bool(problem.get("write_records", True)))
 

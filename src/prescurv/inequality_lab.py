@@ -14,9 +14,11 @@ Three check families over spectra sampled from Gamma_k:
              five-point second difference with Richardson step control.
 
 Sampling is deterministic and parallel-safe: sample i draws from its own
-counter-based stream keyed by (seed, i), so chunked and serial runs agree
-to the byte.  For gll_sum3 rows the CSV stores the first of the three
-directions; the other two are reproducible from the seed.
+Philox stream keyed by (seed, i).  A campaign restarts one generator at
+each sample's key rather than building one per sample, so chunked and
+serial runs agree to the byte.  For gll_sum3 rows the CSV stores the
+first of the three directions; the other two are reproducible from the
+seed.
 """
 
 import math
@@ -70,10 +72,18 @@ class CheckRecord:
     inconclusive: bool = False
 
 
-def sample_rng(cfg, index):
-    """Counter-based per-sample stream: serial and chunked runs agree."""
-    key = np.array([cfg.seed % (1 << 64), index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def sample_rng(cfg, index, rng=None):
+    """Sample index's stream: restart a Philox-backed Generator (a new one
+    if rng is None) at key (seed mod 2^64, index), counter 0, nothing
+    buffered.  The stream depends on (seed, index) alone, so serial and
+    chunked runs agree."""
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (cfg.seed % (1 << 64), index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def sample_gamma_k(cfg, rng):
@@ -89,10 +99,13 @@ def sample_gamma_k(cfg, rng):
         f"is too hostile for Gamma_{cfg.k} in dimension {cfg.n}")
 
 
-def draw_direction(cfg, rng):
+def draw_direction(cfg, rng, size=()):
+    """Symmetric n x n directions of shape (*size, n, n).  In C order they
+    use the doubles that successive single draws would, so a batch equals
+    the single draws bit for bit."""
     lo, hi = cfg.direction_scale
-    M = rng.uniform(lo, hi, size=(cfg.n, cfg.n))
-    return 0.5 * (M + M.T)
+    M = rng.uniform(lo, hi, size=(*size, cfg.n, cfg.n))
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +246,13 @@ class IvochkinaReport:
     n: int
 
 
-def check_ivochkina_args(k, p_box, grid, n=2):
-    """ValueError unless 1 <= k <= n, p_box is finite and > 0 and the scan
-    has at least 16 points per axis."""
+def check_ivochkina_args(k, q, p_box, grid, n=2):
+    """ValueError unless 1 <= k <= n, q is finite, p_box is finite and > 0
+    and the scan has at least 16 points per axis."""
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
     if not (p_box > 0 and math.isfinite(p_box)):
         raise ValueError(f"p_box must be finite and > 0, got {p_box!r}")
     if grid < 16:
@@ -256,7 +271,7 @@ def check_ivochkina_condition(k, q, p_box=3.0, grid=33, n=2):
     over the hypercube [-p_box, p_box]^n (max|p|^2 = n p_box^2 at the
     corners).  Returns the worst margin and where it occurs.
     """
-    check_ivochkina_args(k, p_box, grid, n)
+    check_ivochkina_args(k, q, p_box, grid, n)
     m = (k - q) / (2.0 * k)
     axes = [np.linspace(-p_box, p_box, grid)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -360,11 +375,11 @@ def run_campaign(cfg):
     n = cfg.n
     lam = np.empty((S, n))
     B3 = np.empty((S, 3, n, n))
+    rng = None  # one generator, restarted at each sample's stream
     for i in range(S):
-        rng = sample_rng(cfg, i)
+        rng = sample_rng(cfg, i, rng)
         lam[i] = sample_gamma_k(cfg, rng)
-        for j in range(3):
-            B3[i, j] = draw_direction(cfg, rng)
+        B3[i] = draw_direction(cfg, rng, (3,))
 
     alpha = np.asarray(cfg.alpha_list, dtype=float)[:, None]
     lhs1, sk, rk1, r11 = _gll_sides(lam, B3[:, 0], cfg.k)

@@ -539,6 +539,15 @@ CLI_FAULTS = [
     ("verify-inequalities",
      {"mode": "verify-inequalities", "problem": with_ivochkina(p_box=math.inf)},
      1, r"problem.ivochkina\[0\]: p_box"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(q=math.nan)},
+     1, r"problem.ivochkina\[0\]: q must be finite"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(q=math.inf)},
+     1, r"problem.ivochkina\[0\]: q must be finite"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(q=-math.inf)},
+     1, r"problem.ivochkina\[0\]: q must be finite"),
     ("solve-graph",
      {"mode": "solve-graph", "problem": cap_graph(2.0), "solver": {"perturb_start": 10.0}},
      2, None),
@@ -549,7 +558,8 @@ CLI_FAULTS = [
     "measure-tol", "measure-max_iter", "measure-dt_init-0", "measure-dt_init-neg",
     "measure-dt_min", "study-measure-tol", "graph-tol", "graph-max_iter",
     "study-probe-max_iter", "ivochkina-grid", "ivochkina-k9", "ivochkina-k0",
-    "ivochkina-p_box-0", "ivochkina-p_box-inf", "graph-perturb_start"])
+    "ivochkina-p_box-0", "ivochkina-p_box-inf", "ivochkina-q-nan", "ivochkina-q-inf",
+    "ivochkina-q-neg-inf", "graph-perturb_start"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     assert main([mode, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == code

@@ -6,7 +6,10 @@ import runpy
 import numpy as np
 import pytest
 
+from prescurv import inequality_lab
+from prescurv.errors import SamplingError
 from prescurv.inequality_lab import (
+    _REJECTION_CAP,
     _STENCIL5,
     KINDS,
     SampleConfig,
@@ -91,6 +94,49 @@ def test_sampling_deterministic():
     b = [sample_gamma_k(cfg, sample_rng(cfg, i)) for i in range(10)]
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", [12345, -3, (1 << 64) + 11])
+def test_sample_rng_restart_matches_fresh_generator(seed):
+    cfg = SampleConfig(n=3, k=2, sample_count=1, seed=seed)
+    rng = sample_rng(cfg, 0)
+    # leave the generator mid-buffer with a stored uint32
+    rng.uniform(size=5)
+    rng.integers(1 << 32, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
+    for i in (1, 2, 1 << 40):
+        assert sample_rng(cfg, i, rng) is rng
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.array([seed % (1 << 64), i], dtype=np.uint64)))
+        assert np.array_equal(rng.uniform(size=64), fresh.uniform(size=64))
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (5, 3)])
+def test_direction_batch_equals_single_draws(n, k):
+    cfg = SampleConfig(n=n, k=k, sample_count=1, seed=19)
+    batch_rng, single_rng = sample_rng(cfg, 6), sample_rng(cfg, 6)
+    sample_gamma_k(cfg, batch_rng)
+    sample_gamma_k(cfg, single_rng)
+    batch = draw_direction(cfg, batch_rng, (3,))
+    assert batch.shape == (3, n, n)
+    assert np.array_equal(batch, [draw_direction(cfg, single_rng) for _ in range(3)])
+    assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
+
+
+def test_rejection_cap_raises_after_cap_cone_tests(monkeypatch):
+    # the box lies in the negative orthant, where sigma_1 < 0: nothing is in Gamma_2
+    cfg = SampleConfig(n=3, k=2, sample_count=3, seed=1, spectrum_box=(-2.0, -1.0))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return in_gamma_k(*args, **kwargs)
+
+    monkeypatch.setattr(inequality_lab, "in_gamma_k", counted)
+    with pytest.raises(SamplingError, match="acceptance rate below"):
+        run_campaign(cfg)
+    assert len(calls) == _REJECTION_CAP
 
 
 def test_krylov_radial_direction_closed_form():
@@ -228,6 +274,17 @@ def test_campaign_small_clean_and_deterministic(tmp_path):
     assert digests[0] == digests[1]
     header = (tmp_path / "campaign_a.csv").read_text().splitlines()[0]
     assert header.startswith("kind,n,k,alpha,seed_index,lhs,rhs,margin,pass")
+
+
+def test_campaign_csv_digest_is_pinned(tmp_path):
+    # gll_sum3 rows depend on all three directions, so the pin covers the
+    # second and third draws of each sample as well
+    cfgs = [SampleConfig(n, k, alpha_list=(0.5, 2.0), sample_count=200, seed=7)
+            for n, k in ((3, 2), (5, 3))]
+    path = tmp_path / "campaign.csv"
+    write_campaign_csv([run_campaign(cfg) for cfg in cfgs], cfgs[1], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cd2c66c56b6dbf854901d033d075c1b3372fb29bf53a8f0740951f714524a51a")
 
 
 def test_campaign_counts_structure():
