@@ -67,8 +67,6 @@ from .sphere_geometry import (
 )
 from .symmfunc import OperatorSpec
 
-MODES = ("solve-measure", "solve-graph", "verify-inequalities", "convergence-study")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
@@ -161,7 +159,7 @@ class MeasureRun:
 @dataclass
 class GraphRun:
     problem: GraphProblem
-    surface: object      # exact solution of the manufactured problem
+    surface: object      # exact solution of the problem; None under poly boundary data
     start: GraphField
     tol: float
     max_iter: int
@@ -193,21 +191,15 @@ def parse_config(path, mode=None, seed_override=None):
     _check_keys(raw, {"mode", "seed", "problem", "solver"}, "config")
     cfg_mode = _require(raw, "mode", "config")
     if cfg_mode not in MODES:
-        raise ConfigError(f"config: unknown mode {cfg_mode!r}; expected one of {MODES}")
+        raise ConfigError(f"config: unknown mode {cfg_mode!r}; expected one of {tuple(MODES)}")
     if mode is not None and mode != cfg_mode:
         raise ConfigError(f"command line mode {mode!r} does not match config mode {cfg_mode!r}")
     with _config_path("config.seed"):
         seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
     problem = _require(raw, "problem", "config")
     solver = raw.get("solver", {})
-    builder = {
-        "solve-measure": _parse_measure,
-        "solve-graph": _parse_graph,
-        "verify-inequalities": _parse_inequalities,
-        "convergence-study": _parse_study,
-    }[cfg_mode]
     with _config_path("problem"):
-        payload = builder(problem, solver, seed)
+        payload = MODES[cfg_mode][0](problem, solver, seed)
     return RunConfig(mode=cfg_mode, seed=seed, echo=raw, payload=payload)
 
 
@@ -246,8 +238,11 @@ def _parse_measure(problem, solver, seed):
     method = solver.get("method", "homotopy")
     if method not in ("homotopy", "newton"):
         raise ConfigError("solver.method must be 'homotopy' or 'newton'")
+    start_radius = float(solver.get("start_radius", 0.0))  # 0: the round-sphere radius
+    if not (start_radius >= 0.0 and math.isfinite(start_radius)):
+        raise ConfigError(f"solver.start_radius must be finite and >= 0, got {start_radius!r}")
     return MeasureRun(problem=prob, method=method, schedule=_homotopy_schedule(solver),
-                      start_radius=float(solver.get("start_radius", 0.0)))
+                      start_radius=start_radius)
 
 
 def _parse_graph(problem, solver, seed):
@@ -277,6 +272,7 @@ def _parse_graph(problem, solver, seed):
                             "problem.boundary.terms")
         X1, X2 = grid.meshes()
         run.problem.boundary = bpoly(X1, X2, np.zeros_like(X1))
+        run.surface = None
     elif bnd_spec["kind"] != "surface":
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")
     return run
@@ -288,21 +284,21 @@ def _parse_inequalities(problem, solver, seed):
                 "problem")
     _check_keys(solver, set(), "solver")
     pairs = _require(problem, "pairs", "problem")
-    alpha = tuple(float(a) for a in problem.get("alpha_list", (0.25, 0.5, 1.0, 2.0)))
-    count = int(problem.get("sample_count", 1000))
-    box = tuple(problem.get("spectrum_box", (-1.0, 2.0)))
-    scale = tuple(problem.get("direction_scale", (-1.0, 1.0)))
     # the fields every pair shares are checked alone, so their faults name their key
-    for key, value in (("alpha_list", alpha), ("sample_count", count)):
+    shared = {"alpha_list": (0.25, 0.5, 1.0, 2.0), "sample_count": 1000,
+              "spectrum_box": (-1.0, 2.0), "direction_scale": (-1.0, 1.0)}
+    for key, default in shared.items():
         with _config_path(f"problem.{key}"):
-            SampleConfig(**{key: value})
+            value = problem.get(key, default)
+            shared[key] = int(value) if key == "sample_count" else tuple(map(float, value))
+            SampleConfig(**{key: shared[key]})
+    if shared["spectrum_box"][1] <= 0.0:
+        raise ConfigError("problem.spectrum_box: hi <= 0 leaves no spectrum with sigma_1 > 0")
     configs = []
     for pair in pairs:
         with _config_path(f"problem.pairs {pair}"):
-            configs.append(SampleConfig(n=int(pair[0]), k=int(pair[1]),
-                                        alpha_list=alpha, sample_count=count,
-                                        seed=seed, spectrum_box=box,
-                                        direction_scale=scale))
+            configs.append(SampleConfig(n=int(pair[0]), k=int(pair[1]), seed=seed,
+                                        **shared))
     ivo = []
     for i, entry in enumerate(problem.get("ivochkina", [])):
         path = f"problem.ivochkina[{i}]"
@@ -361,6 +357,10 @@ def _parse_study(problem, solver, seed):
         return StudyRun(kind, [RadialField(grid, rho.eval_unit_vectors(grid.nodes))
                                for grid in grids])
     if kind == "measure-homotopy":
+        for i in range(1, len(grids)):  # each rung is compared with the one before
+            if grids[i].n_phi % grids[i - 1].n_phi:
+                raise ConfigError(f"problem.grids[{i}]: n_phi must be a multiple of the "
+                                  "previous grid's (nested longitudes)")
         schedule = _homotopy_schedule(solver)
         return StudyRun(kind, [MeasureRun(_measure_problem(problem, grid), "homotopy",
                                           schedule, 0.0) for grid in grids])
@@ -458,8 +458,9 @@ def _run_graph(run, out_dir, quiet, echo=None):
         payload["probe"] = vars(probe)
         write_json(os.path.join(out_dir, "probe.json"), vars(probe))
         _graph_solution_csv(field, os.path.join(out_dir, "solution.csv"))
-        payload["manufactured_error_max"] = float(
-            np.abs(field.g - exact_field(run.surface, field.grid).g).max())
+        if run.surface is not None:
+            payload["manufactured_error_max"] = float(
+                np.abs(field.g - exact_field(run.surface, field.grid).g).max())
         if not quiet:
             print(f"solve-graph: ratio={probe.ratio:.6f}")
     write_json(os.path.join(out_dir, "report.json"), payload)
@@ -576,17 +577,20 @@ def _run_study(run, out_dir, quiet, echo=None):
 # ---------------------------------------------------------------------------
 # entry point
 
+# mode: (parser of its problem and solver blocks, runner of the parsed payload)
+MODES = {
+    "solve-measure": (_parse_measure, _run_measure),
+    "solve-graph": (_parse_graph, _run_graph),
+    "verify-inequalities": (_parse_inequalities, _run_inequalities),
+    "convergence-study": (_parse_study, _run_study),
+}
+
 
 def run(run_config, out_dir, config_path=None, quiet=False):
     """Dispatch a parsed RunConfig and emit artifacts plus the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     started = utc_now()
-    runner = {
-        "solve-measure": _run_measure,
-        "solve-graph": _run_graph,
-        "verify-inequalities": _run_inequalities,
-        "convergence-study": _run_study,
-    }[run_config.mode]
+    runner = MODES[run_config.mode][1]
     code = runner(run_config.payload, out_dir, quiet, echo=run_config.echo)
     input_hashes = {}
     if config_path is not None and os.path.exists(config_path):
@@ -609,7 +613,7 @@ def main(argv=None):
     parser = _Parser(
         prog="prescurv",
         description="Prescribed-curvature solvers and verification lab")
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=tuple(MODES))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")

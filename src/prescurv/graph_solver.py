@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolationError, ConfigError, ConstructionError, NonconvergenceError
+from .errors import ConfigError, ConstructionError, NonconvergenceError
 from .mat2 import pencil_sigmas, shape_operator, sym2
 from .newton_core import Evaluation, damped_newton, greedy_groups, grid_pattern
 from .symmfunc import cone_margin
@@ -110,7 +110,7 @@ class GraphRHS:
             raise ConfigError("H must be given either as a polynomial or as samples")
         self.poly = poly
         self.samples = None if samples is None else np.asarray(samples, dtype=float)
-        if self.samples is not None and np.any(self.samples <= 0.0):
+        if self.samples is not None and not np.all(self.samples > 0.0):
             raise ConfigError("sampled H must be positive everywhere")
 
     def interior(self, grid, g_full):
@@ -233,10 +233,7 @@ def graph_residual(field, prob):
     """
     ev = _soft_evaluate(field.g[1:-1, 1:-1].ravel(), prob)
     if not ev.admissible:
-        bad = np.argwhere(ev.margin <= 0.0) + 1  # report in full-grid indices
-        raise ConeViolationError(
-            f"spectrum outside Gamma_{prob.k} at {len(bad)} interior node(s), "
-            f"first {bad[:5].tolist()}", nodes=bad.tolist())
+        raise ev.outside_cone(prob.k, offset=1)  # full-grid indices
     if ev.aux["H_min"] <= 0.0:
         raise ConfigError("H must stay positive on the working range")
     return ev.residual.reshape(prob.grid.nx - 2, prob.grid.ny - 2)
@@ -302,13 +299,13 @@ def manufactured_H(solution, k, q, grid):
 
     With this H the given surface solves the equation exactly, so the solver
     can be verified against it.  Raises when the surface is inadmissible
-    anywhere on the grid.
+    anywhere on the grid, or not finite (a NaN margin fails the > 0 test).
     """
     _check_order(k)
     X1, X2 = grid.meshes()
     w, G, b = _graph_forms(*solution.derivatives(X1, X2))
     sig = pencil_sigmas(G, b)
-    if np.any(cone_margin(sig[1:k + 1]) <= 0.0):
+    if not np.all(cone_margin(sig[1:k + 1]) > 0.0):
         raise ConstructionError(f"manufactured surface leaves Gamma_{k} on the domain")
     return sig[k] * w**q
 

@@ -47,8 +47,12 @@ class SampleConfig:
             raise ValueError("need 2 <= k <= n <= 8")
         if self.sample_count < 0:
             raise ValueError("sample_count must be nonnegative")
-        if any(a <= 0 for a in self.alpha_list):
-            raise ValueError("alpha values must be positive")
+        if not all(a > 0 and math.isfinite(a) for a in self.alpha_list):
+            raise ValueError("alpha values must be positive and finite")
+        for name in ("spectrum_box", "direction_scale"):
+            pair = getattr(self, name)
+            if not (len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] <= pair[1]):
+                raise ValueError(f"{name} must be finite numbers lo <= hi, got {pair!r}")
         # results are reported per alpha under its 6-significant-digit label
         labels = [f"{a:g}" for a in self.alpha_list]
         if len(set(labels)) < len(labels):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConeViolationError,
     ConfigError,
     NonconvergenceError,
     SolveFailure,
@@ -51,6 +50,8 @@ class MeasureProblem:
     grid: object  # SphericalGrid
 
     def __post_init__(self):
+        if not math.isfinite(self.p):
+            raise ConfigError(f"exponent p must be finite, got {self.p!r}")
         if self.p == 0.0:
             raise ConfigError("exponent p must be nonzero (the support-power "
                               "gradient bound degenerates at p = 0)")
@@ -68,8 +69,8 @@ class MeasureProblem:
             warnings.warn("quotient operator is experimental; continuation is "
                           "allowed to fail", stacklevel=2)
         phi_vals = self.phi.eval_unit_vectors(self.grid.nodes)
-        if np.any(phi_vals <= 0.0):
-            raise ConfigError("phi must be positive at every grid node")
+        if not np.all((phi_vals > 0.0) & np.isfinite(phi_vals)):
+            raise ConfigError("phi must be finite and positive at every grid node")
 
     def phi_values(self):
         return self.phi.eval_unit_vectors(self.grid.nodes)
@@ -167,10 +168,7 @@ def residual(field, prob):
         raise ConfigError("field and problem use different grids")
     ev = _soft_evaluate(field.rho.ravel(), prob, prob.phi_values())
     if not ev.admissible:
-        bad = np.argwhere(ev.margin <= 0.0)
-        raise ConeViolationError(
-            f"spectrum outside Gamma_{prob.op.k} at {len(bad)} node(s), "
-            f"first {bad[:5].tolist()}", nodes=bad.tolist())
+        raise ev.outside_cone(prob.op.k)
     return ev.residual.reshape(field.grid.n_theta, field.grid.n_phi)
 
 

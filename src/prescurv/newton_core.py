@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonconvergenceError, SolveFailure
+from .errors import ConeViolationError, ConfigError, NonconvergenceError, SolveFailure
 
 ARMIJO_C = 1e-4
 # a chord step (old factor) is taken only while it is at most this
@@ -64,6 +64,12 @@ class Evaluation:
     @property
     def cone_margin(self):
         return float(np.min(self.margin))
+
+    def outside_cone(self, k, offset=0):
+        """ConeViolationError naming the nodes outside Gamma_k, indices plus offset."""
+        bad = np.argwhere(self.margin <= 0.0) + offset
+        return ConeViolationError(f"spectrum outside Gamma_{k} at {len(bad)} node(s), "
+                                  f"first {bad[:5].tolist()}", nodes=bad.tolist())
 
 
 @dataclass

@@ -69,8 +69,8 @@ class SphericalGrid:
 
     # -- ghost extension and difference stencils ---------------------------
 
-    def extend(self, f, rows, parity=1.0):
-        """Append ``rows`` cross-pole ghost rows above and below ``f``."""
+    def extend(self, f, rows, parity=1):
+        """Append ``rows`` cross-pole ghost rows above and below ``f`` (integer f stays int)."""
         shift = self.pole_shift
         top = parity * np.roll(f[rows - 1::-1], shift, axis=1)
         bot = parity * np.roll(f[:self.n_theta - rows - 1:-1], shift, axis=1)
@@ -114,14 +114,10 @@ class SphericalGrid:
         derivative stencils at node i read (the node itself included), in
         row-major order over the 3x3 block.  Pole rows read their cross-pole
         ghost columns; with n_phi >= 8 the nine reads are always distinct."""
-        nt, np_ = self.n_theta, self.n_phi
-        d = np.array([-1, 0, 1])
-        rows = np.arange(nt)[:, None, None, None] + d[:, None]   # (nt, 1, 3, 1)
-        cols = np.arange(np_)[None, :, None, None]              # (1, np, 1, 1)
-        ghost = (rows < 0) | (rows >= nt)
-        cols = np.where(ghost, cols + self.pole_shift, cols) + d
-        table = np.clip(rows, 0, nt - 1) * np_ + cols % np_
-        return table.reshape(nt * np_, 9)
+        ext = self.extend(np.arange(self.n_nodes).reshape(self.n_theta, self.n_phi), 1)
+        reads = [np.roll(ext[1 + di:self.n_theta + 1 + di], -dj, axis=1)
+                 for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+        return np.stack(reads, axis=-1).reshape(self.n_nodes, 9)
 
     def column_groups(self):
         """Structurally orthogonal column groups for complex-step Jacobian
@@ -236,10 +232,8 @@ class SurfaceGeometry:
     nu: np.ndarray             # (nt, np, 3) outward unit normals
     u: np.ndarray              # (nt, np) support values <X, nu>
     metric: np.ndarray         # (nt, np, 2, 2) induced metric, sphere frame
-    second_fundamental: np.ndarray  # (nt, np, 2, 2) orthonormal tangent frame
     principal: np.ndarray      # (nt, np, 2) principal curvatures, ascending
     grad_rho: np.ndarray       # (nt, np, 2)
-    hess_rho: np.ndarray       # (nt, np, 2, 2)
     w: np.ndarray              # (nt, np) sqrt(rho^2 + |grad rho|^2)
     b_form: np.ndarray         # (nt, np, 2, 2) second fundamental form, sphere frame
 
@@ -257,16 +251,16 @@ def radial_geometry(field):
     which fixes the orientation convention.
     """
     grid, rho = field.grid, field.rho
-    grad, hess, w, u, metric, b = radial_forms(grid, rho)
+    grad, _, w, u, metric, b = radial_forms(grid, rho)
     if np.any(u <= 0.0):
         bad = np.argwhere(u <= 0.0)
         raise StarshapednessError(f"support function u <= 0 at node(s) {bad[:5].tolist()}")
     X = rho[..., None] * grid.nodes
     grad_vec = grad[..., 0, None] * grid.e_theta + grad[..., 1, None] * grid.e_phi
     nu = (X - grad_vec) / w[..., None]
-    S, principal = shape_operator(metric, b)
-    geo = SurfaceGeometry(field, X, nu, u, metric, S, principal, grad, hess, w, b)
-    for arr in (X, nu, u, metric, S, principal, grad, hess, w, b):
+    _, principal = shape_operator(metric, b)
+    geo = SurfaceGeometry(field, X, nu, u, metric, principal, grad, w, b)
+    for arr in (X, nu, u, metric, principal, grad, w, b):
         arr.flags.writeable = False
     return geo
 
@@ -310,19 +304,12 @@ def structure_equation_residuals(geom):
     grid = geom.grid
     rho = geom.field.rho
     grad4, hess4 = tangential_derivatives(grid, rho, order=4)
-    d1, d2 = geom.grad_rho[..., 0], geom.grad_rho[..., 1]
     winv = 1.0 / geom.w
-    # normal projection of the sphere-covariant Hessian of X, fourth order
-    proj = np.empty(rho.shape + (2, 2))
-    for i in range(2):
-        for j in range(2):
-            di = d1 if i == 0 else d2
-            dj = d1 if j == 0 else d2
-            g4i = grad4[..., i]
-            g4j = grad4[..., j]
-            delta = 1.0 if i == j else 0.0
-            proj[..., i, j] = (rho * hess4[..., i, j] - g4i * dj - g4j * di
-                               - delta * rho**2) * winv
+    # normal projection of the sphere-covariant Hessian of X, fourth order:
+    # (rho rho_;ij - rho_i d_j - rho_j d_i - delta_ij rho^2) times 1/w
+    cross = grad4[..., :, None] * geom.grad_rho[..., None, :]     # rho_i d_j
+    proj = (rho[..., None, None] * hess4 - cross - np.swapaxes(cross, -1, -2)
+            - np.eye(2) * (rho**2)[..., None, None]) * winv[..., None, None]
     r1 = proj + geom.b_form
     gauss = np.sqrt(np.sum(r1**2, axis=(-2, -1)))
 
@@ -381,32 +368,27 @@ def ellipsoid_principal_curvatures(points, a, b, c):
 # ---------------------------------------------------------------------------
 # grid transfer and comparison
 
-def restrict_to_coarse(fine_field, coarse_grid, stencil=6):
+def restrict_to_coarse(fine_field, coarse_grid):
     """Interpolate a fine-grid field to the nodes of a coarser grid.
 
     Requires nested longitudes (fine n_phi a multiple of coarse n_phi);
     colatitudes of staggered grids never coincide, so values are moved by
     1-D Lagrange interpolation in colatitude along the matching longitude
-    columns.  Cross-pole ghost rows extend the columns near the poles;
-    stencil=6 keeps the transfer error far below second-order differences.
+    columns.  Cross-pole ghost rows extend the columns near the poles; six
+    points keep the transfer error far below second-order differences.
     """
     fg = fine_field.grid
     if fg.n_phi % coarse_grid.n_phi != 0:
         raise ValueError("fine longitude count must be a multiple of the coarse one")
-    ratio = fg.n_phi // coarse_grid.n_phi
-    cols = fine_field.rho[:, ::ratio]
-    shift = coarse_grid.n_phi // 2   # fine pole shift expressed in subsampled columns
-    rows = stencil
-    ext = np.concatenate([
-        np.roll(cols[rows - 1::-1], shift, axis=1),
-        cols,
-        np.roll(cols[:fg.n_theta - rows - 1:-1], shift, axis=1),
-    ], axis=0)
+    stencil = 6
+    # contiguous, so the weighted sums below round as on a freshly built array
+    ext = np.ascontiguousarray(
+        fg.extend(fine_field.rho, stencil)[:, ::fg.n_phi // coarse_grid.n_phi])
     # ghost colatitudes: -theta_j above the north pole, 2 pi - theta_j past south
     theta_ext = np.concatenate([
-        -fg.theta[rows - 1::-1],
+        -fg.theta[stencil - 1::-1],
         fg.theta,
-        2.0 * math.pi - fg.theta[:fg.n_theta - rows - 1:-1],
+        2.0 * math.pi - fg.theta[:fg.n_theta - stencil - 1:-1],
     ])
     out = np.empty((coarse_grid.n_theta, coarse_grid.n_phi))
     for it, th in enumerate(coarse_grid.theta):

@@ -260,6 +260,25 @@ def test_nonconvergence_exit_code(tmp_path):
     assert "error" in report
 
 
+def test_converged_newton_run_writes_its_newton_block(tmp_path):
+    cfg = minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], [0.2, 0, 0, 1]],
+                          solver={"method": "newton", "tol": 1e-10})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["solve-measure", "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["bounds"]["verified"] is True
+    assert "homotopy" not in report and "error" not in report
+    newton = report["newton"]
+    assert set(newton) == {"iterations", "factorizations", "refactor_reasons",
+                           "residual_history"}
+    assert newton["refactor_reasons"][0] == "start"
+    assert newton["factorizations"] == len(newton["refactor_reasons"])
+    assert len(newton["residual_history"]) == newton["iterations"] + 1
+    assert newton["residual_history"][-1] <= 1e-10 < newton["residual_history"][0]
+    assert (out / "solution.csv").exists() and (out / "surface.obj").exists()
+
+
 def test_nonconvergence_report_keeps_partial_newton_block(tmp_path):
     cfg = minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], [0.2, 0, 0, 1]],
                           solver={"method": "newton", "max_iter": 1})
@@ -322,6 +341,31 @@ def test_graph_cli_run(tmp_path):
     assert newton["factorizations"] == len(newton["refactor_reasons"]) >= 1
     assert newton["refactor_reasons"][0] == "start"
     assert newton["iterations"] >= newton["factorizations"]
+
+
+def test_graph_poly_boundary_run_reports_no_manufactured_error(tmp_path):
+    # boundary data g = 1 instead of the cap's heights: the cap no longer
+    # solves the problem, so report.json has no error against it (the
+    # surface-boundary run above has one)
+    path = write_config(tmp_path, {
+        "mode": "solve-graph",
+        "problem": {
+            "domain": [-1, 1, -1, 1], "grid": [17, 17], "k": 2, "q": 0.0,
+            "H": {"kind": "manufactured", "surface": {"kind": "cap", "radius": 2.0}},
+            "boundary": {"kind": "poly", "terms": [[1.0, 0, 0, 0]]},
+        },
+        "solver": {"tol": 1e-10},
+    })
+    out = tmp_path / "out"
+    assert main(["solve-graph", "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "manufactured_error_max" not in report
+    assert report["newton"]["residual_history"][-1] <= 1e-10
+    with open(out / "solution.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    ring = [float(r["g"]) for r in rows
+            if 1.0 in (abs(float(r["x1"])), abs(float(r["x2"])))]
+    assert len(ring) == 64 and all(g == 1.0 for g in ring)
 
 
 def test_hard_failure_exit_code(tmp_path, monkeypatch):
@@ -504,8 +548,14 @@ def with_ivochkina(**entry):
             "ivochkina": [{"k": 2, "q": 0.0, **entry}]}
 
 
+def with_inequality(**problem):
+    return {"mode": "verify-inequalities",
+            "problem": {"pairs": [[3, 2]], "sample_count": 10, **problem}}
+
+
 # configs that once ended in a traceback, a hang or a wasted solve: each
-# must stop with exit 1 and name its key, or fail as a solve with exit 2
+# must stop with exit 1 before the output directory is made and name its
+# key, or fail as a solve with exit 2
 CLI_FAULTS = [
     ("solve-measure", minimal_measure(grid=(8, 16), solver={"tol": -1}), 1, "tol"),
     ("solve-measure", minimal_measure(grid=(8, 16), solver={"max_iter": 0}), 1, "max_iter"),
@@ -551,6 +601,29 @@ CLI_FAULTS = [
     ("solve-graph",
      {"mode": "solve-graph", "problem": cap_graph(2.0), "solver": {"perturb_start": 10.0}},
      2, None),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "measure-homotopy", "grids": [[8, 16], [12, 24]], **TILTED_MEASURE}},
+     1, r"problem.grids\[1\]: n_phi must be a multiple"),
+    *[("solve-measure",
+       minimal_measure(grid=(8, 16), solver={"method": "newton", "start_radius": r}),
+       1, "solver.start_radius") for r in (-1.0, math.nan, math.inf, -math.inf)],
+    *[("verify-inequalities", with_inequality(**{key: value}), 1, f"problem.{key}")
+      for key in ("spectrum_box", "direction_scale")
+      for value in ([1.0], [2.0, -1.0], [0, "a"], [0.0, math.nan])],
+    ("verify-inequalities", with_inequality(spectrum_box=[-2.0, -1.0]), 1,
+     "problem.spectrum_box: hi <= 0 leaves no spectrum"),
+    *[("solve-measure", minimal_measure(grid=(8, 16), p=p), 1, "p must be finite")
+      for p in (math.nan, math.inf, -math.inf)],
+    ("verify-inequalities", with_inequality(alpha_list=[0.5, math.nan]), 1,
+     "problem.alpha_list: alpha values must be positive and finite"),
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], [math.nan, 0, 0, 1]]),
+     1, "phi must be finite and positive"),
+    ("solve-graph",
+     {"mode": "solve-graph",
+      "problem": {**cap_graph(2.0), "H": {"kind": "manufactured",
+                                          "surface": {"kind": "cap", "radius": math.nan}}}},
+     1, "problem.H.surface: manufactured surface leaves Gamma_2"),
 ]
 
 
@@ -559,10 +632,18 @@ CLI_FAULTS = [
     "measure-dt_min", "study-measure-tol", "graph-tol", "graph-max_iter",
     "study-probe-max_iter", "ivochkina-grid", "ivochkina-k9", "ivochkina-k0",
     "ivochkina-p_box-0", "ivochkina-p_box-inf", "ivochkina-q-nan", "ivochkina-q-inf",
-    "ivochkina-q-neg-inf", "graph-perturb_start"])
+    "ivochkina-q-neg-inf", "graph-perturb_start", "study-measure-grids-not-nested",
+    *[f"measure-start_radius-{r}" for r in ("neg", "nan", "inf", "neg-inf")],
+    *[f"{key}-{v}" for key in ("spectrum_box", "direction_scale")
+      for v in ("one-value", "reversed", "not-a-number", "nan")],
+    "spectrum_box-nonpositive", "measure-p-nan", "measure-p-inf", "measure-p-neg-inf",
+    "alpha_list-nan", "measure-phi-nan", "graph-cap-radius-nan"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
-    assert main([mode, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == code
+    out = tmp_path / "out"
+    assert main([mode, "--config", path, "--out", str(out), "--quiet"]) == code
+    if code == 1:
+        assert not out.exists()
     if match is not None:
         assert re.search(f"config error: .*{match}", capsys.readouterr().err)
 

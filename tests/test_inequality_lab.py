@@ -392,10 +392,26 @@ def test_tally_matches_booking_loop_on_synthetic_tables():
     assert counts[("krylov", "inconclusive")] == 3
 
 
-def test_lab_demo_session_runs(capsys):
-    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "demos", "inequality_lab_session.py")
-    runpy.run_path(demo, run_name="__main__")
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+# demo: lines its output must hold
+DEMO_LINES = {
+    "inequality_lab_session": ["krylov    pass         8000",
+                               "hard failures: 0  implication violations: 0"],
+    "graph_equation_walkthrough": ["+0.5  17x17   0.707107    0.700012  0.415942"],
+    "measure_equation_walkthrough": ["verified at tolerance 1e-8: True"],
+    "sphere_geometry_tour": ["grid ( 64,128): gauss 3.075e-04  support 2.285e-04   order 1.99"],
+    "symmetric_functions": ["d^2/dt^2 sigma_2(I + tI) = 6"],
+}
+
+
+def test_demo_list_is_complete():
+    assert sorted(f"{name}.py" for name in DEMO_LINES) == sorted(
+        f for f in os.listdir(DEMOS) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_LINES))
+def test_lab_demo_session_runs(capsys, demo):
+    runpy.run_path(os.path.join(DEMOS, f"{demo}.py"), run_name="__main__")
     out = capsys.readouterr().out
-    assert "krylov    pass         8000" in out
-    assert "hard failures: 0  implication violations: 0" in out
+    for line in DEMO_LINES[demo]:
+        assert line in out
