@@ -20,7 +20,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NonconvergenceError
+from .errors import ConfigError, NonconvergenceError, SamplingError
 from .graph_solver import (
     CapSolution,
     GraphField,
@@ -91,6 +91,20 @@ def _require(d, key, path):
     return d[key]
 
 
+def _int(value, path):
+    """An integral JSON number as an int (int() would truncate 2.9 and take "3")."""
+    if type(value) not in (int, float) or type(value) is float and not value.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _int_pair(value, path):
+    """The two integers of a grid or a pair."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected two integers, got {value!r}")
+    return [_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 @contextmanager
 def _config_path(path):
     """Raise a bad value met in the block as a ConfigError at path; ConfigErrors pass."""
@@ -110,8 +124,8 @@ def _build_poly(entries, path):
 def _build_operator(d, path):
     _check_keys(d, {"kind", "k", "l"}, path)
     with _config_path(path):
-        return OperatorSpec(kind=d.get("kind", "sigma_k"), k=int(_require(d, "k", path)),
-                            l=int(d.get("l", 0)))
+        return OperatorSpec(kind=d.get("kind", "sigma_k"), k=_int(_require(d, "k", path),
+                            f"{path}.k"), l=_int(d.get("l", 0), f"{path}.l"))
 
 
 def _build_surface(d, path):
@@ -131,13 +145,13 @@ def _build_surface(d, path):
 
 def _sphere_grid(spec, path):
     with _config_path(path):
-        return build_grid(int(spec[0]), int(spec[1]))
+        return build_grid(*_int_pair(spec, path))
 
 
 def _rect_grid(domain, spec, path):
     with _config_path(path):
         return RectGrid(float(domain[0]), float(domain[1]), float(domain[2]),
-                        float(domain[3]), int(spec[0]), int(spec[1]))
+                        float(domain[3]), *_int_pair(spec, path))
 
 
 @dataclass
@@ -194,8 +208,7 @@ def parse_config(path, mode=None, seed_override=None):
         raise ConfigError(f"config: unknown mode {cfg_mode!r}; expected one of {tuple(MODES)}")
     if mode is not None and mode != cfg_mode:
         raise ConfigError(f"command line mode {mode!r} does not match config mode {cfg_mode!r}")
-    with _config_path("config.seed"):
-        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _int(raw.get("seed", 0) if seed_override is None else seed_override, "config.seed")
     problem = _require(raw, "problem", "config")
     solver = raw.get("solver", {})
     with _config_path("problem"):
@@ -217,7 +230,8 @@ def _homotopy_schedule(solver):
     return HomotopySchedule(dt_init=float(solver.get("dt_init", d.dt_init)),
                             dt_min=float(solver.get("dt_min", d.dt_min)),
                             newton_tol=float(solver.get("tol", d.newton_tol)),
-                            newton_max_iter=int(solver.get("max_iter", d.newton_max_iter)))
+                            newton_max_iter=_int(solver.get("max_iter", d.newton_max_iter),
+                                                 "solver.max_iter"))
 
 
 def _manufactured_run(surface, grid, k, q, path, tol, max_iter, perturb_start=1e-2):
@@ -250,7 +264,7 @@ def _parse_graph(problem, solver, seed):
     _check_keys(solver, {"tol", "max_iter", "perturb_start"}, "solver")
     grid = _rect_grid(_require(problem, "domain", "problem"),
                       _require(problem, "grid", "problem"), "problem.domain/grid")
-    k = int(_require(problem, "k", "problem"))
+    k = _int(_require(problem, "k", "problem"), "problem.k")
     q = float(_require(problem, "q", "problem"))
     H_spec = _require(problem, "H", "problem")
     _check_keys(H_spec, {"kind", "terms", "surface"}, "problem.H")
@@ -263,7 +277,8 @@ def _parse_graph(problem, solver, seed):
     surface = _build_surface(_require(H_spec, "surface", "problem.H"),
                              "problem.H.surface")
     run = _manufactured_run(surface, grid, k, q, "problem.H.surface",
-                            float(solver.get("tol", 1e-9)), int(solver.get("max_iter", 40)),
+                            float(solver.get("tol", 1e-9)), _int(solver.get("max_iter", 40),
+                                                                 "solver.max_iter"),
                             float(solver.get("perturb_start", 1e-2)))
     bnd_spec = _require(problem, "boundary", "problem")
     _check_keys(bnd_spec, {"kind", "terms"}, "problem.boundary")
@@ -290,23 +305,25 @@ def _parse_inequalities(problem, solver, seed):
     for key, default in shared.items():
         with _config_path(f"problem.{key}"):
             value = problem.get(key, default)
-            shared[key] = int(value) if key == "sample_count" else tuple(map(float, value))
+            shared[key] = (_int(value, f"problem.{key}") if key == "sample_count"
+                           else tuple(map(float, value)))
             SampleConfig(**{key: shared[key]})
     if shared["spectrum_box"][1] <= 0.0:
         raise ConfigError("problem.spectrum_box: hi <= 0 leaves no spectrum with sigma_1 > 0")
     configs = []
     for pair in pairs:
         with _config_path(f"problem.pairs {pair}"):
-            configs.append(SampleConfig(n=int(pair[0]), k=int(pair[1]), seed=seed,
-                                        **shared))
+            n, k = _int_pair(pair, f"problem.pairs {pair}")
+            configs.append(SampleConfig(n=n, k=k, seed=seed, **shared))
     ivo = []
     for i, entry in enumerate(problem.get("ivochkina", [])):
         path = f"problem.ivochkina[{i}]"
         _check_keys(entry, {"k", "q", "p_box", "grid"}, path)
         with _config_path(path):
-            k, q, p_box, grid = (int(_require(entry, "k", path)),
+            k, q, p_box, grid = (_int(_require(entry, "k", path), f"{path}.k"),
                                  float(_require(entry, "q", path)),
-                                 float(entry.get("p_box", 3.0)), int(entry.get("grid", 33)))
+                                 float(entry.get("p_box", 3.0)),
+                                 _int(entry.get("grid", 33), f"{path}.grid"))
             check_ivochkina_args(k, q, p_box, grid)
             ivo.append({"k": k, "q": q, "p_box": p_box, "grid": grid})
     return InequalityRun(configs=configs, ivochkina=ivo,
@@ -372,8 +389,8 @@ def _parse_study(problem, solver, seed):
     else:
         surface, path = CapSolution(float(problem.get("radius", 2.0))), "problem.radius"
         qs, tol, max_iter = problem.get("q_list", (-1.0, -0.5, 0.0, 0.5, 1.0)), 1e-9, 40
-    k, tol, max_iter = (int(problem.get("k", 2)), float(solver.get("tol", tol)),
-                        int(solver.get("max_iter", max_iter)))
+    k, tol, max_iter = (_int(problem.get("k", 2), "problem.k"), float(solver.get("tol", tol)),
+                        _int(solver.get("max_iter", max_iter), "solver.max_iter"))
     return StudyRun(kind, [_manufactured_run(surface, grid, k, float(q), path, tol, max_iter)
                            for q in qs for grid in grids])
 
@@ -471,7 +488,11 @@ def _run_inequalities(run, out_dir, quiet, echo=None):
     summaries = []
     clean = True
     for cfg in run.configs:
-        s = run_campaign(cfg)
+        try:
+            s = run_campaign(cfg)
+        except SamplingError as exc:    # a box that Gamma_k barely meets
+            print(f"config error: problem.spectrum_box: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         clean &= s.clean
         summaries.append(s)
         if not quiet:

@@ -20,6 +20,7 @@ graphs.  The residual and admissibility plumbing would carry over, but the
 right-hand-side structure is untested territory and deliberately left out.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError, NonconvergenceError
 from .mat2 import pencil_sigmas, shape_operator, sym2
-from .newton_core import Evaluation, damped_newton, greedy_groups, grid_pattern
+from .newton_core import Evaluation, JetContract, damped_newton, grid_window, window_weights
 from .symmfunc import cone_margin
 
 GRAPH_DIM = 2
@@ -113,12 +114,12 @@ class GraphRHS:
         if self.samples is not None and not np.all(self.samples > 0.0):
             raise ConfigError("sampled H must be positive everywhere")
 
-    def interior(self, grid, g_full):
+    def interior(self, grid, g_int):
+        """H at the interior nodes, g_int the heights there (real or complex)."""
         if self.samples is not None:
             return self.samples[1:-1, 1:-1]
         X1, X2 = grid.meshes()
-        vals = self.poly(X1[1:-1, 1:-1], X2[1:-1, 1:-1], g_full[1:-1, 1:-1])
-        return vals
+        return self.poly(X1[1:-1, 1:-1], X2[1:-1, 1:-1], g_int)
 
 
 def _check_order(k):
@@ -192,37 +193,45 @@ def full_grid_shape(field):
     return graph_shape(Dg, sym2(_d2(g, 0, grid.hx), mixed, _d2(g, 1, grid.hy)))
 
 
-def _interior_sigmas(grid, g):
-    """w and (sigma_0, sigma_1, sigma_2) at the interior nodes from centred
-    stencils on the full-grid heights g (real or complex)."""
+def _interior_jet(x, prob):
+    """The 2-jet (g, g_x, g_y, g_xx, g_xy, g_yy) at the interior nodes from
+    centred stencils on the unknowns x (real or complex) inside the
+    Dirichlet ring."""
+    grid = prob.grid
     hx, hy = grid.hx, grid.hy
+    g = prob.boundary.astype(x.dtype)
+    g[1:-1, 1:-1] = x.reshape(grid.nx - 2, grid.ny - 2)
     gx = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2 * hx)
     gy = (g[1:-1, 2:] - g[1:-1, :-2]) / (2 * hy)
     gxx = (g[2:, 1:-1] - 2 * g[1:-1, 1:-1] + g[:-2, 1:-1]) / hx**2
     gyy = (g[1:-1, 2:] - 2 * g[1:-1, 1:-1] + g[1:-1, :-2]) / hy**2
     gxy = (g[2:, 2:] - g[2:, :-2] - g[:-2, 2:] + g[:-2, :-2]) / (4 * hx * hy)
+    return g[1:-1, 1:-1], gx, gy, gxx, gxy, gyy
+
+
+def _evaluate_jet(jet, prob):
+    """Residual plus admissibility data, node by node from the
+    _interior_jet.  A complex jet (complex step) keeps the residual
+    analytic; admissibility and aux read real parts.  Every height of the
+    full grid reaches some jet, so a non-finite one shows there."""
+    if not all(np.all(np.isfinite(j)) for j in jet):
+        return Evaluation(np.full(jet[0].size, 1e30), False, np.full(jet[0].shape, -math.inf), {})
+    g, gx, gy, gxx, gxy, gyy = jet
     w, G, b = _graph_forms(np.stack([gx, gy], axis=-1), sym2(gxx, gxy, gyy))
-    return w, pencil_sigmas(G, b)
-
-
-def _soft_evaluate(g_int_flat, prob):
-    """Residual plus admissibility data; g_int_flat may be complex
-    (complex-step Jacobian), admissibility and aux read real parts."""
-    grid = prob.grid
-    g = prob.boundary.astype(g_int_flat.dtype)
-    g[1:-1, 1:-1] = g_int_flat.reshape(grid.nx - 2, grid.ny - 2)
-    if not np.all(np.isfinite(g)):
-        return Evaluation(np.full(g_int_flat.size, 1e30), False,
-                          np.full((grid.nx - 2, grid.ny - 2), -math.inf), {})
-    w, sig = _interior_sigmas(grid, g)
+    sig = pencil_sigmas(G, b)
     margin = cone_margin(s.real for s in sig[1:prob.k + 1])
     # mean curvature (k = 1) is elliptic on every graph, so the cone gate
     # only applies to the genuinely fully nonlinear orders
     admissible = float(margin.min()) > 0.0 if prob.k >= 2 else True
-    H_int = prob.H.interior(grid, g)
+    H_int = prob.H.interior(prob.grid, g)
     res = sig[prob.k] - H_int * w ** (-prob.q)
     aux = {"H_min": float(H_int.real.min()), "res_norm2": float(np.linalg.norm(res.real))}
     return Evaluation(res.ravel(), admissible, margin, aux)
+
+
+def _soft_evaluate(g_int_flat, prob):
+    """_evaluate_jet at the flat interior unknowns (real, or complex as there)."""
+    return _evaluate_jet(_interior_jet(g_int_flat, prob), prob)
 
 
 def graph_residual(field, prob):
@@ -351,26 +360,41 @@ def _interior_neighbors(grid):
     return np.where(inside, ci * my + cj, i * my + j).reshape(mx * my, 9)
 
 
-def _jacobian_pattern(grid):
-    def build():
-        neigh = _interior_neighbors(grid)
-        return neigh, greedy_groups(neigh)
+def _jet_operators(grid):
+    """Sparse D_m on the interior unknowns with _interior_jet = D_m x + c_m,
+    c_m the Dirichlet ring's share: kron products of 1-D stencils."""
+    # deferred: importing scipy.sparse costs more than the rest of the package
+    from scipy import sparse
 
-    return grid_pattern(("rect", grid.nx, grid.ny), build)
+    def stencils(m, h):     # identity, first and second centred differences
+        band = functools.partial(sparse.diags_array, offsets=[-1, 0, 1], shape=(m, m))
+        return (sparse.eye_array(m), band([-0.5 / h, 0, 0.5 / h]),
+                band([1 / h**2, -2 / h**2, 1 / h**2]))
+
+    (ex, dx, dxx), (ey, dy, dyy) = stencils(grid.nx - 2, grid.hx), stencils(grid.ny - 2, grid.hy)
+    return [sparse.kron(a, b) for a, b in ((ex, ey), (dx, ey), (ex, dy), (dxx, ey),
+                                           (dx, dy), (ex, dyy))]
+
+
+def _jet_contract(prob):
+    """JetContract of _soft_evaluate's residual; the window's weights hold
+    the spacing, so its key is the whole grid."""
+    grid = prob.grid
+    return JetContract(lambda x: _interior_jet(x, prob),
+                       lambda jet: _evaluate_jet(jet, prob).residual,
+                       grid_window(("rect", grid), lambda: window_weights(
+                           _interior_neighbors(grid), _jet_operators(grid))))
 
 
 def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
     """Damped Newton on the interior unknowns, boundary held at the data.
 
-    Same contract as the sphere solver: complex-step Jacobian in
-    structurally orthogonal groups, chord steps, Armijo backtracking, cone
-    veto; NonconvergenceError with damped_newton's SolveFailure.
+    Same contract as the sphere solver: exact Jacobian from the jet, chord
+    steps, Armijo backtracking, cone veto; NonconvergenceError with
+    damped_newton's SolveFailure.
     """
-    x, report = damped_newton(
-        start.g[1:-1, 1:-1].ravel(),
-        lambda x: _soft_evaluate(x, prob),
-        _jacobian_pattern(prob.grid), tol, max_iter,
-    )
+    x, report = damped_newton(start.g[1:-1, 1:-1].ravel(), lambda x: _soft_evaluate(x, prob),
+                              _jet_contract(prob), tol, max_iter)
     g = prob.boundary.copy()
     g[1:-1, 1:-1] = x.reshape(prob.grid.nx - 2, prob.grid.ny - 2)
     return GraphField(prob.grid, g), report

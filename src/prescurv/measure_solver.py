@@ -28,9 +28,9 @@ from .errors import (
     StartRadiusError,
 )
 from .mat2 import pencil_sigmas
-from .newton_core import Evaluation, check_limits, damped_newton, grid_pattern
+from .newton_core import Evaluation, JetContract, check_limits, damped_newton, grid_window
 from .polynomials import Poly3
-from .sphere_geometry import RadialField, radial_forms, radial_geometry
+from .sphere_geometry import RadialField, radial_forms, radial_geometry, radial_jet
 from .symmfunc import OperatorSpec, cone_margin, sigma
 
 SURFACE_DIM = 2  # the discretized solver targets radial graphs over S^2
@@ -140,16 +140,15 @@ def initial_sphere_radius(op, p, n=SURFACE_DIM):
     return float(coeff ** (1.0 / expo))
 
 
-def _soft_evaluate(rho_flat, prob, phi_vals):
-    """Residual plus admissibility data; never raises inside the solver.
-    rho_flat may be complex (complex-step Jacobian): the residual is
-    analytic, admissibility and aux read real parts."""
-    grid = prob.grid
-    rho = rho_flat.reshape(grid.n_theta, grid.n_phi)
-    if np.any(rho.real <= 0.0) or not np.all(np.isfinite(rho)):
-        return Evaluation(np.full(rho_flat.size, 1e30), False, np.full(rho.shape, -math.inf),
-                          {"u_min": -math.inf, "rho_min": float(rho.real.min())})
-    _, _, _, u, metric, b = radial_forms(grid, rho)
+def _evaluate_jet(jet, prob, phi_vals):
+    """Residual plus admissibility data, node by node from the radial_jet;
+    never raises inside the solver.  A complex jet (complex step) keeps the
+    residual analytic; admissibility and aux read real parts."""
+    rho = jet[0].real
+    if np.any(rho <= 0.0) or not np.all(np.isfinite(jet[0])):
+        return Evaluation(np.full(rho.size, 1e30), False, np.full(rho.shape, -math.inf),
+                          {"u_min": -math.inf, "rho_min": float(rho.min())})
+    _, u, metric, b = radial_forms(jet)
     sig = pencil_sigmas(metric, b)
     margin = cone_margin(s.real for s in sig[1:prob.op.k + 1])
     u_min = float(u.real.min())
@@ -157,9 +156,16 @@ def _soft_evaluate(rho_flat, prob, phi_vals):
     with np.errstate(divide="ignore", invalid="ignore"):
         res = prob.op.value_on_sigmas(sig) - u**prob.p * phi_vals
     res = np.where(np.isfinite(res), res, 1e30)
-    aux = {"u_min": u_min, "rho_min": float(rho.real.min()),
-           "rho_max": float(rho.real.max()), "res_norm2": float(np.linalg.norm(res.real))}
+    aux = {"u_min": u_min, "rho_min": float(rho.min()),
+           "rho_max": float(rho.max()), "res_norm2": float(np.linalg.norm(res.real))}
     return Evaluation(res.ravel(), admissible, margin, aux)
+
+
+def _soft_evaluate(rho_flat, prob, phi_vals):
+    """_evaluate_jet at the flat unknowns (real, or complex as there)."""
+    grid = prob.grid
+    return _evaluate_jet(radial_jet(grid, rho_flat.reshape(grid.n_theta, grid.n_phi)), prob,
+                         phi_vals)
 
 
 def residual(field, prob):
@@ -172,9 +178,12 @@ def residual(field, prob):
     return ev.residual.reshape(field.grid.n_theta, field.grid.n_phi)
 
 
-def _jacobian_pattern(grid):
-    return grid_pattern(("sphere", grid.n_theta, grid.n_phi),
-                        lambda: (grid.stencil_neighbors(), grid.column_groups()))
+def _jet_contract(prob, phi_vals):
+    """JetContract of _soft_evaluate's residual."""
+    grid = prob.grid
+    return JetContract(lambda x: radial_jet(grid, x.reshape(grid.n_theta, grid.n_phi)),
+                       lambda jet: _evaluate_jet(jet, prob, phi_vals).residual,
+                       grid_window(("sphere", grid.n_theta, grid.n_phi), grid.column_groups))
 
 
 def newton_solve(start, prob, tol=1e-10, max_iter=30):
@@ -184,13 +193,9 @@ def newton_solve(start, prob, tol=1e-10, max_iter=30):
     damped_newton's SolveFailure.
     """
     phi_vals = prob.phi_values()
-    x, report = damped_newton(
-        start.rho.ravel(),
-        lambda x: _soft_evaluate(x, prob, phi_vals),
-        _jacobian_pattern(prob.grid), tol, max_iter,
-    )
-    out = RadialField(prob.grid, x.reshape(start.rho.shape))
-    return out, report
+    x, report = damped_newton(start.rho.ravel(), lambda x: _soft_evaluate(x, prob, phi_vals),
+                              _jet_contract(prob, phi_vals), tol, max_iter)
+    return RadialField(prob.grid, x.reshape(start.rho.shape)), report
 
 
 def _problem_at_t(prob, t):

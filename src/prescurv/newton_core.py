@@ -1,18 +1,17 @@
 """Damped chord Newton iteration shared by the sphere and graph solvers.
 
-Both solvers' residuals are analytic in the unknowns, so the Jacobian is
-exact to rounding by the complex step J e = Im R(x + i h e) / h (Squire &
-Trapp, SIAM Rev. 40, 1998).  Columns whose stencils never meet the same
-residual row are perturbed together (structurally orthogonal groups), one
-complex residual evaluation per group.  The Jacobian is stored as a
-scipy.sparse CSC matrix (at most nine nonzeros per row) and factored with
-SuperLU (scipy.sparse.linalg.splu).
-
-A solver describes its grid by a read table: row r of the (n, 9) integer
-array lists the unknowns that residual r reads.  From it come the column
-groups (greedy colouring over the table's conflicts) and the CSC pattern
-with a scatter map per group, built once per grid shape and kept in a
-process-wide cache that both solvers share.
+Both solvers' residuals are pointwise in a local 2-jet: R_i depends on the
+unknown's value, gradient and Hessian at node i, and those are linear
+stencils j_m = D_m x + c_m.  So the Jacobian is J = sum_m diag(dR/dj_m) D_m,
+and dR/dj_m is exact to rounding by the complex step on the pointwise map,
+Im R(j_m + i h) / h (Squire & Trapp, SIAM Rev. 40, 1998): one complex
+evaluation per jet component, whatever the grid.  A solver hands
+damped_newton a JetContract: its jets, its pointwise residual, and each
+D_m as weights on a read table (row r of the (n, 9) integer array lists
+the unknowns that residual r reads), built once per grid and kept in a
+process-wide cache that both solvers share.  The Jacobian is stored
+as a scipy.sparse CSC matrix with one entry per distinct read (at most
+nine per row) and factored with SuperLU (scipy.sparse.linalg.splu).
 
 Damping is backtracking with factor 1/2 and Armijo constant 1e-4 on the
 squared residual norm, plus an admissibility veto: a trial point whose
@@ -43,8 +42,8 @@ ARMIJO_C = 1e-4
 # fraction of the last accepted step, in max norm
 CHORD_THETA = 0.1
 MAX_BACKTRACKS = 40
-# Im R(x + i h e) carries no cancellation, so h only has to keep O(h^2)
-# terms below rounding; one fixed step serves every column and scale.
+# Im R(j + i h) carries no cancellation, so h only has to keep O(h^2)
+# terms below rounding; one fixed step serves every jet component and scale.
 COMPLEX_STEP = 1e-30
 # The stencil pattern is structurally symmetric, so SuperLU's minimum-degree
 # ordering on A^T + A fits it: on the 65x65 graph and 32x64 sphere Jacobians
@@ -95,88 +94,60 @@ class SolveReport:
         return self.residual_history[-1] if self.residual_history else math.inf
 
 
-@dataclass
-class JacobianPattern:
-    """CSC sparsity pattern of the Jacobian with a scatter map per column
-    group.  Entry m of a group is the derivative of residual row rows[m]
-    along the group's step; it is stored at data[slots[m]]."""
+@dataclass(frozen=True)
+class JetContract:
+    """jets(x): the jet components D_m x + c_m, one value per residual row;
+    residual(jets): the pointwise residual, complex-safe; window: the
+    window_weights of the D_m."""
 
-    n: int
-    indices: np.ndarray
-    indptr: np.ndarray
-    fills: list          # per group: (columns, rows, slots)
-
-
-def greedy_groups(neigh):
-    """Structurally orthogonal column groups by greedy colouring.
-
-    neigh is a symmetric read table (row r reads column c exactly when row
-    c reads column r, as centred stencils do), so neigh[neigh[c]] lists
-    every column that shares a residual row with column c.  Columns are
-    coloured in index order, each with the smallest colour that none of
-    those columns holds yet.
-    """
-    n = len(neigh)
-    conflicts = neigh[neigh].reshape(n, -1)
-    blank = conflicts.shape[1]     # colour of a column not yet coloured
-    colour = np.full(n, blank, dtype=np.int64)
-    for c in range(n):
-        # at most blank - 1 coloured conflicts: a free colour below blank exists
-        taken = np.zeros(blank + 1, dtype=bool)
-        taken[colour[conflicts[c]]] = True
-        colour[c] = taken.argmin()
-    return [np.flatnonzero(colour == k) for k in range(colour.max() + 1)]
+    jets: object
+    residual: object
+    window: tuple
 
 
-def jacobian_pattern(neigh, groups):
-    """Pattern of the Jacobian of residuals with read table neigh, filled
-    through the structurally orthogonal column groups.  Repeated entries
-    in a row of neigh count once."""
-    n = len(neigh)
-    rows = np.repeat(np.arange(n, dtype=np.int64), neigh.shape[1])
-    # column-major order with rows ascending in each column, as CSC stores it
-    cols, indices = np.divmod(np.unique(neigh.ravel() * n + rows), n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    colour = np.empty(n, dtype=np.int64)
-    for k, grp in enumerate(groups):
-        colour[grp] = k
-    entry_colour = colour[cols]
-    fills = []
-    for k, grp in enumerate(groups):
-        slots = np.flatnonzero(entry_colour == k)
-        fills.append((grp, indices[slots], slots))
-    return JacobianPattern(n, indices, indptr, fills)
+def window_weights(cols, operators):
+    """(cols, [(slots, w) per sparse D]) with (D x)[r] = sum_s w[r, s]
+    x[cols[r, slots[s]]], keeping only the slots D uses.  Every entry of D
+    must fall on a read of its row of cols; the diagonal takes the centre
+    slot, so a read that repeats the row's own index weighs nothing."""
+    out = []
+    for D in operators:
+        D, w = D.tocoo(), np.zeros(cols.shape)
+        r, c = D.coords
+        w[r, np.where(r == c, cols.shape[1] // 2, (cols[r] == c[:, None]).argmax(axis=1))] = D.data
+        slots = np.flatnonzero(w.any(axis=0))
+        out.append((slots, w[:, slots]))
+    return cols, out
 
 
-_PATTERNS = {}
+_WINDOWS = {}
 
 
-def grid_pattern(key, build):
-    """The Jacobian pattern of one grid shape, built on its first use.
-
-    key names the shape (grid objects come and go, shapes repeat); build()
-    returns the shape's read table and column groups.
-    """
-    if key not in _PATTERNS:
-        _PATTERNS[key] = jacobian_pattern(*build())
-    return _PATTERNS[key]
+def grid_window(key, build):
+    """The window of one grid, built by build() on its first use; key names
+    what fixes it (grid objects come and go, shapes repeat)."""
+    if key not in _WINDOWS:
+        _WINDOWS[key] = build()
+    return _WINDOWS[key]
 
 
-# The name predates the complex step; bench/tracing.py times and sizes the
-# Jacobian by wrapping this function by name, with x as its first argument.
-def fd_jacobian(x, eval_fn, pattern):
-    """Complex-step Jacobian as a CSC array, one complex residual evaluation
-    per column group."""
+# The name predates the complex step and the jet; bench/tracing.py times and
+# sizes the Jacobian by wrapping this function by name, with x first.
+def fd_jacobian(x, contract):
+    """J = sum_m diag(dR/dj_m) D_m as a CSC array, each dR/dj_m one complex
+    step of the pointwise residual.  Every read of the window is stored,
+    zeros too, so the pattern that SuperLU orders by never depends on x."""
     # deferred: importing scipy.sparse costs more than the rest of the package
     from scipy.sparse import csc_array
 
-    data = np.empty(pattern.indices.size)
-    for grp, rows, slots in pattern.fills:
-        xp = x.astype(complex)
-        xp.imag[grp] = COMPLEX_STEP
-        data[slots] = eval_fn(xp).residual.imag[rows] / COMPLEX_STEP
-    return csc_array((data, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
+    (cols, weights), jets = contract.window, contract.jets(x)
+    data = np.zeros(cols.shape)
+    for m, (slots, w) in enumerate(weights):
+        step = [j + 1j * COMPLEX_STEP if i == m else j for i, j in enumerate(jets)]
+        data[:, slots] += contract.residual(step).imag.reshape(-1, 1) / COMPLEX_STEP * w
+    rows = np.arange(len(cols)).repeat(cols.shape[1])
+    # repeated reads of a row are summed into one entry
+    return csc_array((data.ravel(), (rows, cols.ravel())), shape=(len(cols),) * 2)
 
 
 def factorize(J):
@@ -195,11 +166,11 @@ def check_limits(**limits):
             raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def damped_newton(x0, eval_fn, pattern, tol, max_iter):
+def damped_newton(x0, eval_fn, contract, tol, max_iter):
     """Chord Newton iteration on a flat unknown vector.
 
-    eval_fn(x) -> Evaluation.  pattern is the JacobianPattern of the
-    unknowns (see grid_pattern).  Returns (x, SolveReport); raises
+    eval_fn(x) -> Evaluation; contract is the JetContract of the same
+    residual, whose fd_jacobian J is.  Returns (x, SolveReport); raises
     NonconvergenceError with a SolveFailure (last iterate, partial report)
     whose cause is "inadmissible_start" (after the one start evaluation),
     "singular", "line_search" or "max_iter".
@@ -232,7 +203,7 @@ def damped_newton(x0, eval_fn, pattern, tol, max_iter):
                 if accepted is None:
                     lu, reason = None, "chord_rejected"
         if lu is None:
-            J = fd_jacobian(x, eval_fn, pattern)
+            J = fd_jacobian(x, contract)
             try:
                 lu = factorize(J)
             except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import StarshapednessError
 from .mat2 import shape_operator, sym2
-from .newton_core import greedy_groups
+from .newton_core import window_weights
 from .reporting import write_csv
 
 
@@ -107,23 +107,51 @@ class SphericalGrid:
         return (-ext[4:] + 16 * ext[3:-1] - 30 * ext[2:-2]
                 + 16 * ext[1:-3] - ext[:-4]) / (12 * h**2)
 
-    # -- stencil table for the Jacobian's column colouring ------------------
+    # -- read table and jet operators for the Jacobian ----------------------
 
     def stencil_neighbors(self):
-        """Flat-index table: row i lists every node the second-order
-        derivative stencils at node i read (the node itself included), in
-        row-major order over the 3x3 block.  Pole rows read their cross-pole
-        ghost columns; with n_phi >= 8 the nine reads are always distinct."""
+        """Flat-index read table of the jet: row i lists every node the
+        second-order stencils of radial_jet at node i read (the node itself
+        included, in the centre slot), in row-major order over the 3x3 block.
+        Pole rows read their cross-pole ghost columns; with n_phi >= 8 the
+        nine reads are always distinct."""
         ext = self.extend(np.arange(self.n_nodes).reshape(self.n_theta, self.n_phi), 1)
         reads = [np.roll(ext[1 + di:self.n_theta + 1 + di], -dj, axis=1)
                  for di in (-1, 0, 1) for dj in (-1, 0, 1)]
         return np.stack(reads, axis=-1).reshape(self.n_nodes, 9)
 
+    def jet_operators(self):
+        """Sparse D_m with D_m rho.ravel() = radial_jet(self, rho)[m].ravel()
+        to rounding: kron products of colatitude and longitude stencils, the
+        colatitude ones through the 0/+-1 matrix that applies extend (odd
+        parity under rho_;12)."""
+        # deferred: importing scipy.sparse costs more than the rest of the package
+        from scipy import sparse
+
+        nt, n_phi, diag, kron = self.n_theta, self.n_phi, sparse.diags_array, sparse.kron
+        idx, eye = np.arange(self.n_nodes).reshape(nt, n_phi), sparse.eye_array(n_phi)
+
+        def theta(c, parity=1):     # (c_-1, c_0, c_1) over the rows of extend(f, 1, parity)
+            ghosts = sparse.csr_array((self.extend(np.ones_like(idx), 1, parity).ravel(), (
+                np.arange(idx.size + 2 * n_phi), self.extend(idx, 1).ravel())))
+            return kron(diag(c, offsets=[0, 1, 2], shape=(nt, nt + 2)), eye) @ ghosts
+
+        def phi(c, scale):          # (c_-1, c_0, c_1) around each circle, row i times scale[i]
+            ring = diag([c[1], c[2], c[0], c[2], c[0]], offsets=[0, 1, -1, 1 - n_phi, n_phi - 1],
+                        shape=(n_phi, n_phi))
+            return kron(diag(scale), ring)
+
+        ht, hp, st = self.dtheta, self.dphi, self.sin_theta[:, 0]
+        g1, g2 = theta((-0.5 / ht, 0, 0.5 / ht)), phi((-0.5 / hp, 0, 0.5 / hp), 1 / st)
+        return [sparse.eye_array(self.n_nodes), g1, g2, theta((1 / ht**2, -2 / ht**2, 1 / ht**2)),
+                theta((-0.5 / ht, 0, 0.5 / ht), -1) @ g2,
+                phi((1 / hp**2, -2 / hp**2, 1 / hp**2), 1 / st**2)
+                + kron(diag(self.cos_theta[:, 0] / st), eye) @ g1]
+
+    # the Jacobian window; bench/tracing.py times its build by wrapping this
+    # name, which it kept from the column colouring that the window replaced
     def column_groups(self):
-        """Structurally orthogonal column groups for complex-step Jacobian
-        assembly: two columns share a group only if no residual row reads
-        both of them."""
-        return greedy_groups(self.stencil_neighbors())
+        return window_weights(self.stencil_neighbors(), self.jet_operators())
 
 
 def build_grid(n_theta, n_phi):
@@ -199,28 +227,34 @@ def tangential_derivatives(grid, rho, order=2):
     return np.stack([g1, g2], axis=-1), sym2(h11, h12, h22)
 
 
-def radial_forms(grid, rho):
-    """Jet and fundamental forms of the radial graph X = rho x.
+def radial_jet(grid, rho):
+    """The 2-jet (rho, rho_1, rho_2, rho_;11, rho_;12, rho_;22) of
+    tangential_derivatives as separate arrays; real or complex rho."""
+    grad, hess = tangential_derivatives(grid, rho)
+    return rho, grad[..., 0], grad[..., 1], hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
 
-    Returns (grad, hess, w, u, metric, b) in the orthonormal sphere frame,
-    outward normal:
+
+def radial_forms(jet):
+    """Fundamental forms of the radial graph X = rho x from its radial_jet.
+
+    Returns (w, u, metric, b) in the orthonormal sphere frame, outward
+    normal:
         w     = sqrt(rho^2 + |grad rho|^2)
         u     = rho^2 / w
         g_ij  = rho^2 delta_ij + rho_i rho_j
         b_ij  = (rho^2 delta_ij + 2 rho_i rho_j - rho rho_;ij) / w
-    Only analytic operations, so a complex rho (complex-step
+    Only analytic operations, node by node, so a complex jet (complex-step
     differentiation) passes through unchanged.
     """
-    grad, hess = tangential_derivatives(grid, rho)
-    d1, d2 = grad[..., 0], grad[..., 1]
+    rho, d1, d2, h11, h12, h22 = jet
     w = np.sqrt(rho**2 + d1**2 + d2**2)
     u = rho**2 / w
     metric = sym2(rho**2 + d1**2, d1 * d2, rho**2 + d2**2)
     winv = 1.0 / w
-    b = sym2((rho**2 + 2 * d1 * d1 - rho * hess[..., 0, 0]) * winv,
-             (2 * d1 * d2 - rho * hess[..., 0, 1]) * winv,
-             (rho**2 + 2 * d2 * d2 - rho * hess[..., 1, 1]) * winv)
-    return grad, hess, w, u, metric, b
+    b = sym2((rho**2 + 2 * d1 * d1 - rho * h11) * winv,
+             (2 * d1 * d2 - rho * h12) * winv,
+             (rho**2 + 2 * d2 * d2 - rho * h22) * winv)
+    return w, u, metric, b
 
 
 @dataclass(frozen=True)
@@ -251,7 +285,9 @@ def radial_geometry(field):
     which fixes the orientation convention.
     """
     grid, rho = field.grid, field.rho
-    grad, _, w, u, metric, b = radial_forms(grid, rho)
+    jet = radial_jet(grid, rho)
+    w, u, metric, b = radial_forms(jet)
+    grad = np.stack(jet[1:3], axis=-1)
     if np.any(u <= 0.0):
         bad = np.argwhere(u <= 0.0)
         raise StarshapednessError(f"support function u <= 0 at node(s) {bad[:5].tolist()}")

@@ -421,11 +421,11 @@ STUDY_DIGESTS = [
      "eca10a86e5f83783a8a38851d51f7096a3cdaeb93ae6d6a28b26fca3623e0d9a"),
     ({"kind": "measure-homotopy", "grids": [[8, 16], [16, 32], [32, 64]],
       **TILTED_MEASURE},
-     "b75de6c91bec22de9dd91746eab9edd8ba5bab1a2b59472e05ad4d11140f9d0a"),
+     "57377b7a198df12db086279d57de1eb9d14762e537ce337803710e57224a1ec1"),
     ({"kind": "graph-manufactured", "grids": [[9, 9], [17, 17]], "q": 0.5},
-     "01d17bdbf1498123561fb7f0f150a196e241147f0e94dfc2a218c1dd8b36e413"),
+     "3d500a724fad8f495388002f999b0f3c409c3bf5989f612a1f7d529146f47223"),
     ({"kind": "graph-bound-probe", "grids": [[9, 9], [17, 17]], "q_list": [-1.0, 0.5]},
-     "672927d992e0488ac2543fc67f05ced558d298769f75bf100c58adffded7628a"),
+     "1536b99f29144cafe7c7c8e7b789cc755bea247a74cdbf83c44b9f13d5fe9772"),
 ]
 
 
@@ -624,6 +624,36 @@ CLI_FAULTS = [
       "problem": {**cap_graph(2.0), "H": {"kind": "manufactured",
                                           "surface": {"kind": "cap", "radius": math.nan}}}},
      1, "problem.H.surface: manufactured surface leaves Gamma_2"),
+    # integer keys: int() used to truncate 2.9 to 2 and accept a third grid entry
+    ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "k": 2.9}}, 1,
+     r"problem.k: expected an integer, got 2.9"),
+    ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "grid": [9, 9.7]}}, 1,
+     r"grid\[1\]: expected an integer, got 9.7"),
+    ("solve-measure", {**minimal_measure(grid=(8, 16)), "problem": {
+        **minimal_measure(grid=(8, 16))["problem"], "operator": {"kind": "sigma_k", "k": 1.5}}},
+     1, r"problem.operator.k: expected an integer, got 1.5"),
+    ("solve-measure", minimal_measure(grid=(8, 16, 99)), 1,
+     r"problem.grid: expected two integers, got \[8, 16, 99\]"),
+    ("solve-measure", {**minimal_measure(grid=(8, 16)), "seed": 1.5}, 1, "config.seed"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"max_iter": 2.5}), 1,
+     "solver.max_iter: expected an integer"),
+    ("solve-measure", minimal_measure(grid=(8, "16")), 1, r"problem.grid\[1\]"),
+    ("verify-inequalities", with_inequality(sample_count=10.5), 1,
+     "problem.sample_count: expected an integer"),
+    ("verify-inequalities", with_inequality(pairs=[[3, True]]), 1,
+     r"problem.pairs .*: expected an integer, got True"),
+    ("verify-inequalities", with_inequality(pairs=[[5, 3, 1]]), 1,
+     "expected two integers"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(k=2.5)},
+     1, r"problem.ivochkina\[0\].k: expected an integer"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(grid=33.5)},
+     1, r"problem.ivochkina\[0\].grid: expected an integer"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-manufactured", "grids": [[9, 9]], "k": 1.5}},
+     1, "problem.k: expected an integer"),
 ]
 
 
@@ -637,7 +667,10 @@ CLI_FAULTS = [
     *[f"{key}-{v}" for key in ("spectrum_box", "direction_scale")
       for v in ("one-value", "reversed", "not-a-number", "nan")],
     "spectrum_box-nonpositive", "measure-p-nan", "measure-p-inf", "measure-p-neg-inf",
-    "alpha_list-nan", "measure-phi-nan", "graph-cap-radius-nan"])
+    "alpha_list-nan", "measure-phi-nan", "graph-cap-radius-nan", "graph-k-2.9",
+    "graph-grid-9.7", "measure-operator-k-1.5", "measure-grid-three-entries", "seed-1.5",
+    "measure-max_iter-2.5", "measure-grid-string", "sample_count-10.5", "pair-bool",
+    "pair-three-entries", "ivochkina-k-2.5", "ivochkina-grid-33.5", "study-graph-k-1.5"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -646,6 +679,18 @@ def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code
         assert not out.exists()
     if match is not None:
         assert re.search(f"config error: .*{match}", capsys.readouterr().err)
+
+
+def test_hostile_spectrum_box_exits_as_a_config_error(tmp_path, capsys):
+    # the box passes the parse-time checks, but Gamma_3 in dimension 5 meets
+    # it too rarely for the rejection sampler: exit 1, not a traceback
+    path = write_config(tmp_path, with_inequality(pairs=[[5, 3]], spectrum_box=[-2.0, 0.01]))
+    out = tmp_path / "out"
+    assert main(["verify-inequalities", "--config", path, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"config error: problem.spectrum_box: acceptance rate below", err)
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
 
 
 def test_readme_json_configs_parse(tmp_path):

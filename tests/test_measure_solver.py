@@ -16,7 +16,7 @@ from prescurv.measure_solver import (
     HomotopySchedule,
     HomotopyTrace,
     MeasureProblem,
-    _jacobian_pattern,
+    _jet_contract,
     _soft_evaluate,
     homotopy_solve,
     initial_sphere_radius,
@@ -45,7 +45,7 @@ def tilted_homotopy(n):
     return homotopy_solve(make_problem(build_grid(n, 2 * n), phi=PHI_TILT))
 
 
-def full_newton(x0, eval_fn, pattern, tol, max_iter):
+def full_newton(x0, eval_fn, contract, tol, max_iter):
     """Oracle: the damped Newton loop with a fresh Jacobian and factor at
     every correction."""
     x = np.asarray(x0, dtype=float).copy()
@@ -61,7 +61,7 @@ def full_newton(x0, eval_fn, pattern, tol, max_iter):
         if report.iterations >= max_iter:
             report.message = f"no convergence in {max_iter} iterations"
             raise NonconvergenceError(report.message, diagnostics=(report, x))
-        J = fd_jacobian(x, eval_fn, pattern)
+        J = fd_jacobian(x, contract)
         step = factorize(J).solve(-ev.residual)
         report.factorizations += 1
         f0 = float(ev.residual @ ev.residual)
@@ -202,7 +202,7 @@ def test_jacobian_matches_directional_differences():
     eval_fn = lambda v: _soft_evaluate(v, prob, phi_vals)
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, eval_fn, _jacobian_pattern(g))
+    J = fd_jacobian(x, _jet_contract(prob, phi_vals))
     v = rng.standard_normal(g.n_nodes)
     h = 1e-6
     fd = (eval_fn(x + h * v).residual - eval_fn(x - h * v).residual) / (2 * h)

@@ -18,19 +18,20 @@ from prescurv.graph_solver import (
     exact_field,
     manufactured_H,
 )
-from prescurv.graph_solver import _jacobian_pattern as graph_pattern
+from prescurv.graph_solver import _jet_contract as graph_contract
 from prescurv.graph_solver import _soft_evaluate as graph_evaluate
 from prescurv.measure_solver import MeasureProblem
-from prescurv.measure_solver import _jacobian_pattern as sphere_pattern
+from prescurv.measure_solver import _jet_contract as sphere_contract
 from prescurv.measure_solver import _soft_evaluate as sphere_evaluate
 from prescurv.newton_core import (
     COMPLEX_STEP,
     Evaluation,
+    JetContract,
     SolveReport,
     damped_newton,
     factorize,
     fd_jacobian,
-    jacobian_pattern,
+    window_weights,
 )
 from prescurv.polynomials import Poly3
 from prescurv.sphere_geometry import build_grid
@@ -47,7 +48,7 @@ def sphere_case():
     phi_vals = prob.phi_values()
     nd = g.nodes
     x = (1.0 + 0.04 * nd[..., 0] - 0.03 * nd[..., 1] * nd[..., 2]).ravel()
-    return x, (lambda v: sphere_evaluate(v, prob, phi_vals)), sphere_pattern(g)
+    return x, (lambda v: sphere_evaluate(v, prob, phi_vals)), sphere_contract(prob, phi_vals)
 
 
 def graph_case(H=None):
@@ -59,7 +60,7 @@ def graph_case(H=None):
     X1, X2 = grid.meshes()
     g = exact_field(cap, grid).g + 0.01 * np.cos(math.pi * X1 / 2) * np.cos(math.pi * X2 / 2)
     x = g[1:-1, 1:-1].ravel()
-    return x, (lambda v: graph_evaluate(v, prob)), graph_pattern(grid)
+    return x, (lambda v: graph_evaluate(v, prob)), graph_contract(prob)
 
 
 def poly_graph_case():
@@ -89,10 +90,10 @@ def central_difference_column(eval_fn, x, j):
 
 @pytest.mark.parametrize("case", [sphere_case, graph_case], ids=["sphere", "graph"])
 def test_sparse_jacobian_matches_column_by_column_differences(case):
-    x, eval_fn, pattern = case()
+    x, eval_fn, contract = case()
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, eval_fn, pattern)
+    J = fd_jacobian(x, contract)
     assert scipy.sparse.issparse(J)
     assert J.format == "csc"
     assert J.nnz <= 9 * x.size
@@ -105,27 +106,27 @@ def test_sparse_jacobian_matches_column_by_column_differences(case):
 def test_jacobian_matches_central_differences(case):
     # central differences carry an O(h^2) truncation error well below the
     # bound; forward differences are about 3e-7 off and do not pass
-    x, eval_fn, pattern = case()
+    x, eval_fn, contract = case()
     assert eval_fn(x).admissible
-    J = fd_jacobian(x, eval_fn, pattern).toarray()
+    J = fd_jacobian(x, contract).toarray()
     ref = column_jacobian(x, eval_fn, central_difference_column)
     assert np.abs(J - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_sparse_newton_step_matches_dense_solve():
-    x, eval_fn, pattern = sphere_case()
+    x, eval_fn, contract = sphere_case()
     r = eval_fn(x).residual
-    J = fd_jacobian(x, eval_fn, pattern)
+    J = fd_jacobian(x, contract)
     step = factorize(J).solve(-r)
     dense = np.linalg.solve(J.toarray(), -r)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_report_records_step_norms_and_backtracks():
-    x, eval_fn, pattern = sphere_case()
-    x_exact, _ = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    x, eval_fn, contract = sphere_case()
+    x_exact, _ = damped_newton(x, eval_fn, contract, tol=1e-12, max_iter=20)
     # three times as far from the solution, the first full step overshoots
-    _, rep = damped_newton(x_exact + 3.0 * (x - x_exact), eval_fn, pattern,
+    _, rep = damped_newton(x_exact + 3.0 * (x - x_exact), eval_fn, contract,
                            tol=1e-12, max_iter=20)
     assert rep.iterations == len(rep.step_norm_history) == len(rep.backtrack_history)
     assert rep.backtrack_history[0] >= 1
@@ -138,14 +139,14 @@ def test_report_records_step_norms_and_backtracks():
 def overshoot_case():
     """The 8x16 sphere state moved three times as far from its solution:
     the first full Newton step overshoots and is damped."""
-    x, eval_fn, pattern = sphere_case()
-    x_exact, _ = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
-    return x_exact + 3.0 * (x - x_exact), eval_fn, pattern
+    x, eval_fn, contract = sphere_case()
+    x_exact, _ = damped_newton(x, eval_fn, contract, tol=1e-12, max_iter=20)
+    return x_exact + 3.0 * (x - x_exact), eval_fn, contract
 
 
 def test_damped_step_drops_the_factor():
-    x, eval_fn, pattern = overshoot_case()
-    _, rep = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    x, eval_fn, contract = overshoot_case()
+    _, rep = damped_newton(x, eval_fn, contract, tol=1e-12, max_iter=20)
     # every damped step but a last one is followed by a fresh factor
     damped = sum(s < 1.0 for s in rep.step_history[:-1])
     assert damped >= 1
@@ -162,9 +163,9 @@ def test_every_factorization_records_its_reason(monkeypatch):
         return jacobian(*args)
 
     monkeypatch.setattr(newton_core, "fd_jacobian", counted)
-    x, eval_fn, pattern = overshoot_case()
+    x, eval_fn, contract = overshoot_case()
     jacobians = 0
-    _, rep = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+    _, rep = damped_newton(x, eval_fn, contract, tol=1e-12, max_iter=20)
     assert rep.converged
     assert jacobians == rep.factorizations == len(rep.refactor_reasons)
     assert rep.refactor_reasons[0] == "start"
@@ -177,26 +178,33 @@ def test_every_factorization_records_its_reason(monkeypatch):
     assert sum(chord) >= rep.iterations - rep.factorizations
 
 
-def test_vetoed_chord_trial_refactors_instead_of_failing():
-    x, eval_fn, pattern = sphere_case()
-    x_ref, ref = damped_newton(x, eval_fn, pattern, tol=1e-12, max_iter=20)
+def test_vetoed_chord_trial_refactors_instead_of_failing(monkeypatch):
+    x, eval_fn, contract = sphere_case()
+    x_ref, ref = damped_newton(x, eval_fn, contract, tol=1e-12, max_iter=20)
     assert all(s == 1.0 for s in ref.step_history)     # no backtracking trials
-    # so the first real evaluation straight after another real one (and
-    # not after a complex-step Jacobian) is the first chord trial
-    last_real = False
+    # so the first evaluation straight after another evaluation (and not
+    # after a Jacobian, which evaluates only the pointwise residual) is the
+    # first chord trial
+    after_jacobian = True       # the start evaluation is no chord trial
     vetoed = 0
+    jacobian = newton_core.fd_jacobian
+
+    def marked(*args):
+        nonlocal after_jacobian
+        after_jacobian = True
+        return jacobian(*args)
 
     def vetoing(v):
-        nonlocal last_real, vetoed
+        nonlocal after_jacobian, vetoed
         ev = eval_fn(v)
-        real = not np.iscomplexobj(v)
-        if real and last_real and not vetoed:
+        if not after_jacobian and not vetoed:
             vetoed += 1
             ev = Evaluation(ev.residual, False, ev.margin, ev.aux)
-        last_real = real
+        after_jacobian = False
         return ev
 
-    x_out, rep = damped_newton(x, vetoing, pattern, tol=1e-12, max_iter=20)
+    monkeypatch.setattr(newton_core, "fd_jacobian", marked)
+    x_out, rep = damped_newton(x, vetoing, contract, tol=1e-12, max_iter=20)
     assert vetoed == 1
     assert rep.converged
     assert "chord_rejected" not in ref.refactor_reasons
@@ -207,7 +215,7 @@ def test_vetoed_chord_trial_refactors_instead_of_failing():
 
 
 def test_inadmissible_start_raises_cone_violation():
-    x, eval_fn, pattern = sphere_case()
+    x, eval_fn, contract = sphere_case()
     calls = 0
 
     def vetoed(v):
@@ -217,22 +225,32 @@ def test_inadmissible_start_raises_cone_violation():
         return Evaluation(ev.residual, False, ev.margin, ev.aux)
 
     with pytest.raises(NonconvergenceError) as info:
-        damped_newton(x, vetoed, pattern, tol=1e-12, max_iter=20)
+        damped_newton(x, vetoed, contract, tol=1e-12, max_iter=20)
     assert info.value.diagnostics.cause == "inadmissible_start"
     assert calls == 1
 
 
 def test_singular_jacobian_raises_with_report_and_state():
-    # the residual ignores x[2], so the Jacobian has an empty column
+    # pointwise in the jet (x0, x1, x0), (0, 0, x1): the residual ignores
+    # x[2], so the Jacobian has an empty column
+    D = [scipy.sparse.csr_array(np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0]])),
+         scipy.sparse.csr_array(np.array([[0.0, 0, 0], [0, 0, 0], [0, 1, 0]]))]
+
+    def residual(jet):
+        return np.array([jet[0][0] ** 2 - 1.0, jet[0][1] - 2.0, jet[0][2] - jet[1][2]])
+
+    def jets(v):
+        return [Dm @ v for Dm in D]
+
     def eval_fn(v):
-        return Evaluation(np.array([v[0] ** 2 - 1.0, v[1] - 2.0, v[0] - v[1]]),
-                          True, 1.0, {})
+        return Evaluation(residual(jets(v)), True, 1.0, {})
 
     x0 = np.array([2.0, 1.0, 5.0])
-    pattern = jacobian_pattern(np.tile(np.arange(3), (3, 1)),
-                               [np.array([c]) for c in range(3)])
+    # every row reads every unknown, its own in the centre slot
+    contract = JetContract(jets, residual,
+                           window_weights(np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]]), D))
     with pytest.raises(NonconvergenceError, match="singular Jacobian") as info:
-        damped_newton(x0, eval_fn, pattern, tol=1e-12, max_iter=5)
+        damped_newton(x0, eval_fn, contract, tol=1e-12, max_iter=5)
     failure = info.value.diagnostics
     assert isinstance(failure.report, SolveReport)
     assert failure.report.iterations == 0

@@ -191,16 +191,3 @@ def test_exports(tmp_path):
     assert len(rows) == 1 + g.n_nodes
     first = [float(v) for v in rows[1].split(",")]
     assert first[2] == pytest.approx(geo.field.rho[0, 0])
-
-
-def test_column_groups_are_structurally_orthogonal():
-    g = build_grid(8, 16)
-    groups = g.column_groups()
-    neigh = g.stencil_neighbors()
-    seen = np.zeros(g.n_nodes, dtype=int)
-    for grp in groups:
-        seen[grp] += 1
-        for row in range(g.n_nodes):
-            hits = sum(1 for c in set(neigh[row]) if c in set(grp.tolist()))
-            assert hits <= 1
-    assert np.all(seen == 1)
