@@ -20,7 +20,6 @@ graphs.  The residual and admissibility plumbing would carry over, but the
 right-hand-side structure is untested territory and deliberately left out.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -360,20 +359,21 @@ def _interior_neighbors(grid):
     return np.where(inside, ci * my + cj, i * my + j).reshape(mx * my, 9)
 
 
-def _jet_operators(grid):
-    """Sparse D_m on the interior unknowns with _interior_jet = D_m x + c_m,
-    c_m the Dirichlet ring's share: kron products of 1-D stencils."""
-    # deferred: importing scipy.sparse costs more than the rest of the package
-    from scipy import sparse
-
-    def stencils(m, h):     # identity, first and second centred differences
-        band = functools.partial(sparse.diags_array, offsets=[-1, 0, 1], shape=(m, m))
-        return (sparse.eye_array(m), band([-0.5 / h, 0, 0.5 / h]),
-                band([1 / h**2, -2 / h**2, 1 / h**2]))
-
-    (ex, dx, dxx), (ey, dy, dyy) = stencils(grid.nx - 2, grid.hx), stencils(grid.ny - 2, grid.hy)
-    return [sparse.kron(a, b) for a, b in ((ex, ey), (dx, ey), (ex, dy), (dxx, ey),
-                                           (dx, dy), (ex, dyy))]
+def _jet_window(grid):
+    """Window of _interior_jet on _interior_neighbors: each D_m as centred
+    weights on its slots (row-major over the 3x3 block, the node itself in
+    slot 4); a read of the Dirichlet ring is the constant c_m's and weighs
+    nothing."""
+    cols = _interior_neighbors(grid)
+    inside = cols != np.arange(len(cols))[:, None]
+    inside[:, 4] = True
+    hx, hy = grid.hx, grid.hy
+    weights = [([4], [1.0]), ([1, 7], [-0.5 / hx, 0.5 / hx]), ([3, 5], [-0.5 / hy, 0.5 / hy]),
+               ([1, 4, 7], [1 / hx**2, -2 / hx**2, 1 / hx**2]),
+               ([0, 2, 6, 8], [c / (4 * hx * hy) for c in (1, -1, -1, 1)]),
+               ([3, 4, 5], [1 / hy**2, -2 / hy**2, 1 / hy**2])]
+    return window_weights(cols, (grid.nx - 2, grid.ny - 2),
+                          [(np.array(slots), inside[:, slots] * np.array(c)) for slots, c in weights])
 
 
 def _jet_contract(prob):
@@ -382,8 +382,7 @@ def _jet_contract(prob):
     grid = prob.grid
     return JetContract(lambda x: _interior_jet(x, prob),
                        lambda jet: _evaluate_jet(jet, prob).residual,
-                       grid_window(("rect", grid), lambda: window_weights(
-                           _interior_neighbors(grid), _jet_operators(grid))))
+                       grid_window(("rect", grid), lambda: _jet_window(grid)))
 
 
 def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):

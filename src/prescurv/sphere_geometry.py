@@ -120,38 +120,33 @@ class SphericalGrid:
                  for di in (-1, 0, 1) for dj in (-1, 0, 1)]
         return np.stack(reads, axis=-1).reshape(self.n_nodes, 9)
 
-    def jet_operators(self):
-        """Sparse D_m with D_m rho.ravel() = radial_jet(self, rho)[m].ravel()
-        to rounding: kron products of colatitude and longitude stencils, the
-        colatitude ones through the 0/+-1 matrix that applies extend (odd
-        parity under rho_;12)."""
-        # deferred: importing scipy.sparse costs more than the rest of the package
-        from scipy import sparse
-
-        nt, n_phi, diag, kron = self.n_theta, self.n_phi, sparse.diags_array, sparse.kron
-        idx, eye = np.arange(self.n_nodes).reshape(nt, n_phi), sparse.eye_array(n_phi)
-
-        def theta(c, parity=1):     # (c_-1, c_0, c_1) over the rows of extend(f, 1, parity)
-            ghosts = sparse.csr_array((self.extend(np.ones_like(idx), 1, parity).ravel(), (
-                np.arange(idx.size + 2 * n_phi), self.extend(idx, 1).ravel())))
-            return kron(diag(c, offsets=[0, 1, 2], shape=(nt, nt + 2)), eye) @ ghosts
-
-        def phi(c, scale):          # (c_-1, c_0, c_1) around each circle, row i times scale[i]
-            ring = diag([c[1], c[2], c[0], c[2], c[0]], offsets=[0, 1, -1, 1 - n_phi, n_phi - 1],
-                        shape=(n_phi, n_phi))
-            return kron(diag(scale), ring)
-
-        ht, hp, st = self.dtheta, self.dphi, self.sin_theta[:, 0]
-        g1, g2 = theta((-0.5 / ht, 0, 0.5 / ht)), phi((-0.5 / hp, 0, 0.5 / hp), 1 / st)
-        return [sparse.eye_array(self.n_nodes), g1, g2, theta((1 / ht**2, -2 / ht**2, 1 / ht**2)),
-                theta((-0.5 / ht, 0, 0.5 / ht), -1) @ g2,
-                phi((1 / hp**2, -2 / hp**2, 1 / hp**2), 1 / st**2)
-                + kron(diag(self.cos_theta[:, 0] / st), eye) @ g1]
-
     # the Jacobian window; bench/tracing.py times its build by wrapping this
     # name, which it kept from the column colouring that the window replaced
     def column_groups(self):
-        return window_weights(self.stencil_neighbors(), self.jet_operators())
+        """Window of radial_jet: each D_m as closed-form weights on the slots
+        of stencil_neighbors (row-major over the 3x3 block, the node itself
+        in slot 4), whose cross-pole reads carry the ghost rows of extend."""
+        def per_node(row_values):
+            return np.repeat(row_values, self.n_phi)[:, None]
+
+        ht, hp, s = self.dtheta, self.dphi, self.sin_theta[:, 0]
+        st, ct, one = per_node(s), per_node(self.cos_theta[:, 0]), np.ones((self.n_nodes, 1))
+        # sin theta of the rows above and below: rho_;12 differentiates rho_2
+        # = rho_phi / sin theta across the pole with odd parity, so a ghost
+        # row divides by -sin theta
+        s_up, s_down = per_node(np.r_[-s[0], s[:-1]]), per_node(np.r_[s[1:], -s[-1]])
+        c2 = 1 / (4 * ht * hp)
+        weights = [
+            ([4], one),
+            ([1, 7], one * [-0.5 / ht, 0.5 / ht]),
+            ([3, 5], [-0.5 / hp, 0.5 / hp] / st),
+            ([1, 4, 7], one * [1 / ht**2, -2 / ht**2, 1 / ht**2]),
+            ([0, 2, 6, 8], np.hstack([c2 / s_up, -c2 / s_up, -c2 / s_down, c2 / s_down])),
+            ([1, 3, 4, 5, 7], np.hstack([-0.5 * ct / (ht * st), [1, -2, 1] / (hp * st)**2,
+                                         0.5 * ct / (ht * st)])),
+        ]
+        return window_weights(self.stencil_neighbors(), (self.n_theta, self.n_phi),
+                              [(np.array(slots), w) for slots, w in weights])
 
 
 def build_grid(n_theta, n_phi):

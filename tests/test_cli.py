@@ -421,11 +421,11 @@ STUDY_DIGESTS = [
      "eca10a86e5f83783a8a38851d51f7096a3cdaeb93ae6d6a28b26fca3623e0d9a"),
     ({"kind": "measure-homotopy", "grids": [[8, 16], [16, 32], [32, 64]],
       **TILTED_MEASURE},
-     "57377b7a198df12db086279d57de1eb9d14762e537ce337803710e57224a1ec1"),
+     "5ab7c8331c435bb9e1fefe93862cdcb40a76530d1c78e193311338d33d093d04"),
     ({"kind": "graph-manufactured", "grids": [[9, 9], [17, 17]], "q": 0.5},
      "3d500a724fad8f495388002f999b0f3c409c3bf5989f612a1f7d529146f47223"),
     ({"kind": "graph-bound-probe", "grids": [[9, 9], [17, 17]], "q_list": [-1.0, 0.5]},
-     "1536b99f29144cafe7c7c8e7b789cc755bea247a74cdbf83c44b9f13d5fe9772"),
+     "17432f868f7a03ba58ab03eb5cc2bb31539c43c9e87d3cdce62a06a6fec26a3f"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -5,9 +6,9 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 import prescurv
+from conftest import dense_jacobian
 from prescurv import newton_core
 from prescurv.errors import NonconvergenceError
 from prescurv.graph_solver import (
@@ -93,12 +94,11 @@ def test_sparse_jacobian_matches_column_by_column_differences(case):
     x, eval_fn, contract = case()
     ev = eval_fn(x)
     assert ev.admissible
-    J = fd_jacobian(x, contract)
-    assert scipy.sparse.issparse(J)
-    assert J.format == "csc"
-    assert J.nnz <= 9 * x.size
+    data = fd_jacobian(x, contract)
+    assert data.shape == (x.size, 9)
     ref = column_jacobian(x, eval_fn, complex_step_column)
-    assert np.abs(J.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    J = dense_jacobian(contract.window.cols, data)
+    assert np.abs(J - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("case", [sphere_case, graph_case, poly_graph_case],
@@ -108,7 +108,7 @@ def test_jacobian_matches_central_differences(case):
     # bound; forward differences are about 3e-7 off and do not pass
     x, eval_fn, contract = case()
     assert eval_fn(x).admissible
-    J = fd_jacobian(x, contract).toarray()
+    J = dense_jacobian(contract.window.cols, fd_jacobian(x, contract))
     ref = column_jacobian(x, eval_fn, central_difference_column)
     assert np.abs(J - ref).max() <= 1e-7 * np.abs(ref).max()
 
@@ -116,9 +116,9 @@ def test_jacobian_matches_central_differences(case):
 def test_sparse_newton_step_matches_dense_solve():
     x, eval_fn, contract = sphere_case()
     r = eval_fn(x).residual
-    J = fd_jacobian(x, contract)
-    step = factorize(J).solve(-r)
-    dense = np.linalg.solve(J.toarray(), -r)
+    data = fd_jacobian(x, contract)
+    step = factorize(contract.window.plan, data).solve(-r)
+    dense = np.linalg.solve(dense_jacobian(contract.window.cols, data), -r)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
@@ -230,41 +230,90 @@ def test_inadmissible_start_raises_cone_violation():
     assert calls == 1
 
 
+def assert_singular_failure(x0, jets, residual, cols, shape, weights):
+    def eval_fn(v):
+        return Evaluation(residual(jets(v)), True, 1.0, {})
+
+    contract = JetContract(jets, residual, window_weights(cols, shape, weights))
+    with pytest.raises(NonconvergenceError, match="singular Jacobian") as info:
+        damped_newton(x0, eval_fn, contract, tol=1e-12, max_iter=5)
+    failure = info.value.diagnostics
+    assert failure.cause == "singular"
+    assert isinstance(failure.report, SolveReport)
+    assert failure.report.iterations == 0
+    assert failure.report.factorizations == 0
+    np.testing.assert_array_equal(failure.x, x0)
+    return contract.window.plan
+
+
 def test_singular_jacobian_raises_with_report_and_state():
     # pointwise in the jet (x0, x1, x0), (0, 0, x1): the residual ignores
     # x[2], so the Jacobian has an empty column
-    D = [scipy.sparse.csr_array(np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0]])),
-         scipy.sparse.csr_array(np.array([[0.0, 0, 0], [0, 0, 0], [0, 1, 0]]))]
+    def jets(v):
+        return [np.array([v[0], v[1], v[0]]), np.array([0.0, 0.0, v[1]])]
 
     def residual(jet):
         return np.array([jet[0][0] ** 2 - 1.0, jet[0][1] - 2.0, jet[0][2] - jet[1][2]])
 
-    def jets(v):
-        return [Dm @ v for Dm in D]
-
-    def eval_fn(v):
-        return Evaluation(residual(jets(v)), True, 1.0, {})
-
-    x0 = np.array([2.0, 1.0, 5.0])
     # every row reads every unknown, its own in the centre slot
-    contract = JetContract(jets, residual,
-                           window_weights(np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]]), D))
-    with pytest.raises(NonconvergenceError, match="singular Jacobian") as info:
-        damped_newton(x0, eval_fn, contract, tol=1e-12, max_iter=5)
-    failure = info.value.diagnostics
-    assert isinstance(failure.report, SolveReport)
-    assert failure.report.iterations == 0
-    np.testing.assert_array_equal(failure.x, x0)
+    cols = np.array([[1, 0, 2], [0, 1, 2], [0, 2, 1]])
+    weights = [(np.array([0, 1]), np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])),
+               (np.array([2]), np.array([[0.0], [0.0], [1.0]]))]
+    plan = assert_singular_failure(np.array([2.0, 1.0, 5.0]), jets, residual, cols, (1, 3),
+                                   weights)
+    assert plan.n_fronts == 1
 
 
-def test_package_import_loads_no_scipy():
-    # scipy.sparse.linalg alone takes about 0.3 s to import; the solvers
-    # defer it to the first Newton step
+def test_singular_pivot_in_a_separator_front_raises():
+    # a chain of unknowns, residual x_i - 1 except at a node s of the root
+    # separator, whose residual x_{s+1} - x_{s-1} leaves column s empty: the
+    # leaves factor, and the zero pivot shows only in the separator's front
+    n = 3 * newton_core.LEAF_SIZE
+    cols = np.clip(np.arange(n)[:, None] + [-1, 0, 1], 0, n - 1)
+    plan = newton_core.frontal_plan(cols, (1, n))
+    root = plan.n_fronts - 1
+    assert (plan.parent == root).sum() == 2         # a separator, not a leaf
+    s = int(plan.perm[plan.start[root]])
+    assert 0 < s < n - 1
+
+    def jets(v):
+        return [v, v[cols[:, 2]] - v[cols[:, 0]]]
+
+    def residual(jet):
+        return np.where(np.arange(n) == s, jet[1], jet[0] - 1.0)
+
+    weights = [(np.array([1]), np.ones((n, 1))), (np.array([0, 2]), np.ones((n, 2)) * [-1, 1])]
+    x0 = np.linspace(0.5, 1.5, n)
+    assert_singular_failure(x0, jets, residual, cols, (1, n), weights)
+
+
+def test_solves_load_no_scipy(tmp_path):
+    # with scipy unimportable, a homotopy and a graph solve run through the
+    # CLI and leave no scipy module loaded
     src = os.path.dirname(os.path.dirname(prescurv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, prescurv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    sphere = {"mode": "solve-measure", "problem": {
+        "operator": {"kind": "sigma_k", "k": 2}, "p": 1.0,
+        "phi": [[1.0, 0, 0, 0], [0.2, 0, 0, 1]], "grid": [16, 32]},
+        "solver": {"method": "homotopy"}}
+    graph = {"mode": "solve-graph", "problem": {
+        "domain": [-1, 1, -1, 1], "grid": [17, 17], "k": 2, "q": 0.5,
+        "H": {"kind": "manufactured", "surface": {"kind": "cap", "radius": 2.0}},
+        "boundary": {"kind": "surface"}}, "solver": {"tol": 1e-10, "perturb_start": 0.01}}
+    paths = []
+    for name, config in (("sphere", sphere), ("graph", graph)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(config, fh)
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from prescurv import cli\n"
+            f"for i, path in enumerate({paths!r}):\n"
+            f"    code = cli.run(cli.parse_config(path), {str(tmp_path)!r} + f'/out{{i}}', quiet=True)\n"
+            "    assert code == 0, (path, code)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             and sys.modules[m] is not None))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
