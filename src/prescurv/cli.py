@@ -98,6 +98,28 @@ def _int(value, path):
     return int(value)
 
 
+def _float(value, path):
+    """A JSON number as a float (float() would take "12" and true).  Whether
+    it must be finite or positive is left to the check that names the rule."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(value, path):
+    """The numbers of a JSON list (tuple() would split "12" into digits)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
+    return tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _float_pair(value, path):
+    """The two numbers of a center or a tilt."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected two numbers, got {value!r}")
+    return _floats(value, path)
+
+
 def _int_pair(value, path):
     """The two integers of a grid or a pair."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -117,6 +139,16 @@ def _config_path(path):
 
 
 def _build_poly(entries, path):
+    """[[coef, i, j, k], ...] with a number coef and integral powers."""
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of [coef, i, j, k] monomials, "
+                          f"got {entries!r}")
+    for m, entry in enumerate(entries):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise ConfigError(f"{path}[{m}]: expected [coef, i, j, k], got {entry!r}")
+        _float(entry[0], f"{path}[{m}][0]")
+        for q in (1, 2, 3):
+            _int(entry[q], f"{path}[{m}][{q}]")
     with _config_path(f"{path}: bad monomial list"):
         return Poly3.from_list(entries)
 
@@ -131,15 +163,15 @@ def _build_operator(d, path):
 def _build_surface(d, path):
     _check_keys(d, {"kind", "radius", "center", "offset", "tilt", "alpha"}, path)
     kind = _require(d, "kind", path)
+    center = _float_pair(d.get("center", (0.0, 0.0)), f"{path}.center")
+    offset = _float(d.get("offset", 0.0), f"{path}.offset")
     if kind == "cap":
-        return CapSolution(_require(d, "radius", path),
-                           center=d.get("center", (0.0, 0.0)),
-                           offset=d.get("offset", 0.0),
-                           tilt=d.get("tilt", (0.0, 0.0)))
+        return CapSolution(_float(_require(d, "radius", path), f"{path}.radius"),
+                           center=center, offset=offset,
+                           tilt=_float_pair(d.get("tilt", (0.0, 0.0)), f"{path}.tilt"))
     if kind == "paraboloid":
-        return ParaboloidSolution(_require(d, "alpha", path),
-                                  center=d.get("center", (0.0, 0.0)),
-                                  offset=d.get("offset", 0.0))
+        return ParaboloidSolution(_float(_require(d, "alpha", path), f"{path}.alpha"),
+                                  center=center, offset=offset)
     raise ConfigError(f"{path}: unknown surface kind {kind!r}")
 
 
@@ -150,8 +182,7 @@ def _sphere_grid(spec, path):
 
 def _rect_grid(domain, spec, path):
     with _config_path(path):
-        return RectGrid(float(domain[0]), float(domain[1]), float(domain[2]),
-                        float(domain[3]), *_int_pair(spec, path))
+        return RectGrid(*_floats(domain, "problem.domain"), *_int_pair(spec, path))
 
 
 @dataclass
@@ -219,7 +250,7 @@ def parse_config(path, mode=None, seed_override=None):
 def _measure_problem(problem, grid):
     """MeasureProblem from a config's operator, p and phi on a built grid."""
     op = _build_operator(_require(problem, "operator", "problem"), "problem.operator")
-    p = float(_require(problem, "p", "problem"))
+    p = _float(_require(problem, "p", "problem"), "problem.p")
     phi = _build_poly(_require(problem, "phi", "problem"), "problem.phi")
     return MeasureProblem(op, p, phi, grid)
 
@@ -227,9 +258,9 @@ def _measure_problem(problem, grid):
 def _homotopy_schedule(solver):
     """HomotopySchedule from a solver block; absent keys keep its defaults."""
     d = HomotopySchedule()
-    return HomotopySchedule(dt_init=float(solver.get("dt_init", d.dt_init)),
-                            dt_min=float(solver.get("dt_min", d.dt_min)),
-                            newton_tol=float(solver.get("tol", d.newton_tol)),
+    return HomotopySchedule(dt_init=_float(solver.get("dt_init", d.dt_init), "solver.dt_init"),
+                            dt_min=_float(solver.get("dt_min", d.dt_min), "solver.dt_min"),
+                            newton_tol=_float(solver.get("tol", d.newton_tol), "solver.tol"),
                             newton_max_iter=_int(solver.get("max_iter", d.newton_max_iter),
                                                  "solver.max_iter"))
 
@@ -252,7 +283,8 @@ def _parse_measure(problem, solver, seed):
     method = solver.get("method", "homotopy")
     if method not in ("homotopy", "newton"):
         raise ConfigError("solver.method must be 'homotopy' or 'newton'")
-    start_radius = float(solver.get("start_radius", 0.0))  # 0: the round-sphere radius
+    # 0: the round-sphere radius
+    start_radius = _float(solver.get("start_radius", 0.0), "solver.start_radius")
     if not (start_radius >= 0.0 and math.isfinite(start_radius)):
         raise ConfigError(f"solver.start_radius must be finite and >= 0, got {start_radius!r}")
     return MeasureRun(problem=prob, method=method, schedule=_homotopy_schedule(solver),
@@ -265,7 +297,7 @@ def _parse_graph(problem, solver, seed):
     grid = _rect_grid(_require(problem, "domain", "problem"),
                       _require(problem, "grid", "problem"), "problem.domain/grid")
     k = _int(_require(problem, "k", "problem"), "problem.k")
-    q = float(_require(problem, "q", "problem"))
+    q = _float(_require(problem, "q", "problem"), "problem.q")
     H_spec = _require(problem, "H", "problem")
     _check_keys(H_spec, {"kind", "terms", "surface"}, "problem.H")
     H_kind = _require(H_spec, "kind", "problem.H")
@@ -277,9 +309,9 @@ def _parse_graph(problem, solver, seed):
     surface = _build_surface(_require(H_spec, "surface", "problem.H"),
                              "problem.H.surface")
     run = _manufactured_run(surface, grid, k, q, "problem.H.surface",
-                            float(solver.get("tol", 1e-9)), _int(solver.get("max_iter", 40),
-                                                                 "solver.max_iter"),
-                            float(solver.get("perturb_start", 1e-2)))
+                            _float(solver.get("tol", 1e-9), "solver.tol"),
+                            _int(solver.get("max_iter", 40), "solver.max_iter"),
+                            _float(solver.get("perturb_start", 1e-2), "solver.perturb_start"))
     bnd_spec = _require(problem, "boundary", "problem")
     _check_keys(bnd_spec, {"kind", "terms"}, "problem.boundary")
     if _require(bnd_spec, "kind", "problem.boundary") == "poly":
@@ -299,6 +331,8 @@ def _parse_inequalities(problem, solver, seed):
                 "problem")
     _check_keys(solver, set(), "solver")
     pairs = _require(problem, "pairs", "problem")
+    if not isinstance(pairs, list):
+        raise ConfigError(f"problem.pairs: expected a list of [n, k] pairs, got {pairs!r}")
     # the fields every pair shares are checked alone, so their faults name their key
     shared = {"alpha_list": (0.25, 0.5, 1.0, 2.0), "sample_count": 1000,
               "spectrum_box": (-1.0, 2.0), "direction_scale": (-1.0, 1.0)}
@@ -306,7 +340,7 @@ def _parse_inequalities(problem, solver, seed):
         with _config_path(f"problem.{key}"):
             value = problem.get(key, default)
             shared[key] = (_int(value, f"problem.{key}") if key == "sample_count"
-                           else tuple(map(float, value)))
+                           else _floats(value, f"problem.{key}"))
             SampleConfig(**{key: shared[key]})
     if shared["spectrum_box"][1] <= 0.0:
         raise ConfigError("problem.spectrum_box: hi <= 0 leaves no spectrum with sigma_1 > 0")
@@ -321,13 +355,16 @@ def _parse_inequalities(problem, solver, seed):
         _check_keys(entry, {"k", "q", "p_box", "grid"}, path)
         with _config_path(path):
             k, q, p_box, grid = (_int(_require(entry, "k", path), f"{path}.k"),
-                                 float(_require(entry, "q", path)),
-                                 float(entry.get("p_box", 3.0)),
+                                 _float(_require(entry, "q", path), f"{path}.q"),
+                                 _float(entry.get("p_box", 3.0), f"{path}.p_box"),
                                  _int(entry.get("grid", 33), f"{path}.grid"))
             check_ivochkina_args(k, q, p_box, grid)
             ivo.append({"k": k, "q": q, "p_box": p_box, "grid": grid})
-    return InequalityRun(configs=configs, ivochkina=ivo,
-                         write_records=bool(problem.get("write_records", True)))
+    write_records = problem.get("write_records", True)
+    if type(write_records) is not bool:
+        raise ConfigError(f"problem.write_records: expected true or false, "
+                          f"got {write_records!r}")
+    return InequalityRun(configs=configs, ivochkina=ivo, write_records=write_records)
 
 
 # kind: (problem keys besides kind and grids, solver keys, study.csv header);
@@ -366,7 +403,7 @@ def _parse_study(problem, solver, seed):
     else:
         grids = [_sphere_grid(spec, f"problem.grids[{i}]") for i, spec in specs]
     if kind == "ellipsoid-curvature":
-        axes = tuple(float(a) for a in problem.get("ellipsoid", (1.15, 1.0, 0.9)))
+        axes = _floats(problem.get("ellipsoid", (1.15, 1.0, 0.9)), "problem.ellipsoid")
         return StudyRun(kind, [(ellipsoid_radial_field(grid, *axes), axes) for grid in grids])
     if kind == "structure-equations":
         rho = _build_poly(problem.get("rho", [[2.0, 0, 0, 0], [0.3, 0, 0, 1],
@@ -385,13 +422,16 @@ def _parse_study(problem, solver, seed):
     if kind == "graph-manufactured":
         surface = _build_surface(problem.get("surface", {"kind": "cap", "radius": 2.0}),
                                  "problem.surface")
-        qs, path, tol, max_iter = [problem.get("q", 0.0)], "problem.surface", 1e-10, 30
+        qs = [_float(problem.get("q", 0.0), "problem.q")]
+        path, tol, max_iter = "problem.surface", 1e-10, 30
     else:
-        surface, path = CapSolution(float(problem.get("radius", 2.0))), "problem.radius"
-        qs, tol, max_iter = problem.get("q_list", (-1.0, -0.5, 0.0, 0.5, 1.0)), 1e-9, 40
-    k, tol, max_iter = (_int(problem.get("k", 2), "problem.k"), float(solver.get("tol", tol)),
+        surface = CapSolution(_float(problem.get("radius", 2.0), "problem.radius"))
+        qs = _floats(problem.get("q_list", (-1.0, -0.5, 0.0, 0.5, 1.0)), "problem.q_list")
+        path, tol, max_iter = "problem.radius", 1e-9, 40
+    k, tol, max_iter = (_int(problem.get("k", 2), "problem.k"),
+                        _float(solver.get("tol", tol), "solver.tol"),
                         _int(solver.get("max_iter", max_iter), "solver.max_iter"))
-    return StudyRun(kind, [_manufactured_run(surface, grid, k, float(q), path, tol, max_iter)
+    return StudyRun(kind, [_manufactured_run(surface, grid, k, q, path, tol, max_iter)
                            for q in qs for grid in grids])
 
 

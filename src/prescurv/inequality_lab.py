@@ -13,12 +13,16 @@ Three check families over spectra sampled from Gamma_k:
 * krylov     convexity of (sigma_1/sigma_k)^alpha on Gamma_k, probed by a
              five-point second difference with Richardson step control.
 
-Sampling is deterministic and parallel-safe: sample i draws from its own
-Philox stream keyed by (seed, i).  A campaign restarts one generator at
-each sample's key rather than building one per sample, so chunked and
-serial runs agree to the byte.  For gll_sum3 rows the CSV stores the
-first of the three directions; the other two are reproducible from the
-seed.
+Sampling is deterministic and parallel-safe: sample i reads its own
+stream, numpy's Philox keyed by (seed mod 2^64, i) from counter 0
+(``sample_rng``).  Attempt a of its rejection loop takes doubles
+a*n .. a*n + n - 1, and its three directions the 3 n^2 after the
+accepted attempt.  A campaign (``sample_campaign``) draws a window of
+these doubles per sample in one call and scales and gathers them for a
+group of samples at once; each sample still goes through
+``sample_gamma_k``, one cone test per attempt.  For gll_sum3 rows the
+CSV stores the first of the three directions; the other two are
+reproducible from the seed.
 """
 
 import math
@@ -30,6 +34,8 @@ from .errors import SamplingError
 from .symmfunc import in_gamma_k, sigma, sigma_grad, sigma_hess_dir
 
 _REJECTION_CAP = 20000
+_WINDOW = 16               # least attempts per sample drawn in batch
+_WORD_BUDGET = 1 << 13     # stream words (doubles) drawn per group of samples
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,81 @@ def draw_direction(cfg, rng, size=()):
 
 
 # ---------------------------------------------------------------------------
+# batched sampler: the same streams, drawn a group of samples at a time
+
+
+class _Drawn:
+    """Generator.uniform over doubles already drawn: u scaled to [lo, hi)."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, lo, hi, size):
+        return (lo + (hi - lo) * self.u).reshape(size)
+
+
+class _SampleStream:
+    """sample_gamma_k's draws from sample index's stream: attempt a is row
+    a of rows (draws in cfg.spectrum_box, made in batch) while they last;
+    then rng, restarted at the sample's key and skipped to the same word."""
+
+    def __init__(self, cfg, index, rows, rng):
+        self.cfg, self.index, self.rows, self.rng = cfg, index, rows, rng
+        self.attempts = 0
+
+    def uniform(self, lo, hi, size):
+        a = self.attempts
+        self.attempts = a + 1
+        if a < len(self.rows):
+            return self.rows[a]
+        if a == len(self.rows):
+            sample_rng(self.cfg, self.index, self.rng).bit_generator.random_raw(a * self.cfg.n)
+        return self.rng.uniform(lo, hi, size)
+
+
+def sample_campaign(cfg):
+    """Spectra (S, n) and directions (S, 3, n, n) of samples 0..S-1, equal
+    bit for bit to the loop ``rng = sample_rng(cfg, i, rng);
+    sample_gamma_k(cfg, rng); draw_direction(cfg, rng, (3,))``.
+
+    Each sample's stream is restarted once and its first
+    (window + 3 n) n doubles drawn in one call: `window` attempts, and
+    the directions after any of them.  The group's attempts are scaled
+    at once, each sample goes through sample_gamma_k on its rows, and
+    the group's directions are gathered at each sample's offset for one
+    draw_direction call.  A sample that outruns its rows continues on
+    the generator.  The window is four mean attempts of the samples so
+    far, so about 2% of them do."""
+    S, n = cfg.sample_count, cfg.n
+    lam = np.empty((S, n))
+    B3 = np.empty((S, 3, n, n))
+    rng = None
+    window, done, tried = _WINDOW, 0, 0
+    while done < S:
+        width = (window + 3 * n) * n
+        idx = np.arange(done, min(done + max(1, _WORD_BUDGET // width), S))
+        drawn = np.empty((idx.size, width))
+        for j, i in enumerate(idx.tolist()):
+            rng = sample_rng(cfg, i, rng)
+            rng.random(out=drawn[j])
+        rows = _Drawn(drawn[:, :window * n]).uniform(*cfg.spectrum_box, (idx.size, window, n))
+        used = np.empty(idx.size, dtype=np.int64)
+        for j, i in enumerate(idx.tolist()):
+            stream = _SampleStream(cfg, i, rows[j], rng)
+            lam[i] = sample_gamma_k(cfg, stream)
+            used[j] = stream.attempts
+            if used[j] > window:        # the generator stands at the directions
+                B3[i] = draw_direction(cfg, rng, (3,))
+        inside = np.flatnonzero(used <= window)
+        u = np.take_along_axis(drawn[inside], used[inside, None] * n + np.arange(3 * n * n),
+                               axis=1)
+        B3[idx[inside]] = draw_direction(cfg, _Drawn(u), (inside.size, 3))
+        done, tried = done + idx.size, tried + int(used.sum())
+        window = max(_WINDOW, -(-4 * tried // done))
+    return lam, B3
+
+
+# ---------------------------------------------------------------------------
 # batched check kernels
 
 
@@ -184,7 +265,9 @@ def _ratio_alpha_d2(lam, B, alphas, k):
 
     def nodes_spectra(idx):
         t = h[idx, None] * offsets[None, :]
-        return np.linalg.eigvalsh(A[idx, None] + t[..., None, None] * B[idx, None])
+        M = t[..., None, None] * B[idx, None]
+        M += A[idx, None]       # in place: one (S, 7, n, n) array, not two
+        return np.linalg.eigvalsh(M)
 
     # Only the samples whose step was just halved are solved again; LAPACK
     # treats each matrix on its own, so the spectra do not depend on which
@@ -375,16 +458,7 @@ def run_campaign(cfg):
     fails is recorded as an implication violation (the bound is derived
     from convexity, so that combination must not occur).
     """
-    S = cfg.sample_count
-    n = cfg.n
-    lam = np.empty((S, n))
-    B3 = np.empty((S, 3, n, n))
-    rng = None  # one generator, restarted at each sample's stream
-    for i in range(S):
-        rng = sample_rng(cfg, i, rng)
-        lam[i] = sample_gamma_k(cfg, rng)
-        B3[i] = draw_direction(cfg, rng, (3,))
-
+    lam, B3 = sample_campaign(cfg)
     alpha = np.asarray(cfg.alpha_list, dtype=float)[:, None]
     lhs1, sk, rk1, r11 = _gll_sides(lam, B3[:, 0], cfg.k)
     rhs1 = _gll_rhs(sk, rk1, r11, alpha)

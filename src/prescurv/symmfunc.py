@@ -162,15 +162,32 @@ def _in_gamma_k_scalar(values, k):
     minimum keeps np.minimum's choice (the later value on ties, NaN wins),
     so the result equals the batched path's bit for bit.
     """
-    e = [1.0] + [0.0] * k
-    for i, x in enumerate(values):
-        for j in range(min(i + 1, k), 0, -1):
-            e[j] = e[j] + x * e[j - 1]
-    margin = e[1]
-    for v in e[2:]:
+    e = _recurrence(len(values), k)(*values)
+    margin = e[0]
+    for v in e[1:]:
         if not (margin < v or margin != margin):
             margin = v
     return margin > 0.0, margin
+
+
+@functools.lru_cache(maxsize=256)
+def _recurrence(n, k):
+    """sigma's recurrence on n floats up to e_k as one straight-line
+    function returning (e_1, ..., e_k): the same operations in the same
+    order as the loop ``e[j] = e[j] + x_i * e[j - 1]`` for i = 0..n-1,
+    j = min(i + 1, k)..1 with e_0 = 1, without the loop's indexing, which
+    costs several times the arithmetic on the short spectra that the
+    rejection sampler tests one at a time."""
+    xs = [f"x{i}" for i in range(n)]
+    es = [f"e{j}" for j in range(1, k + 1)]
+    lines = [f"def recurrence({', '.join(xs)}):", f"    {' = '.join(es)} = 0.0"]
+    for i, x in enumerate(xs):
+        for j in range(min(i + 1, k), 0, -1):
+            lines.append(f"    e{j} = e{j} + {x} * {f'e{j - 1}' if j > 1 else '1.0'}")
+    lines.append(f"    return ({', '.join(es)},)")
+    scope = {}
+    exec("\n".join(lines), scope)
+    return scope["recurrence"]
 
 
 @dataclass(frozen=True)

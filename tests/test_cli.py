@@ -439,6 +439,13 @@ def test_convergence_study_csv_is_pinned(tmp_path, problem, digest):
     assert sha256_file(str(out / "study.csv")) == digest
 
 
+def with_surface(**surface):
+    """cap_graph(2.0) with the surface's fields replaced."""
+    problem = cap_graph(2.0)
+    problem["H"] = {**problem["H"], "surface": {**problem["H"]["surface"], **surface}}
+    return problem
+
+
 def cap_graph(radius):
     return {"domain": [-1, 1, -1, 1], "grid": [9, 9], "k": 2, "q": 0.5,
             "H": {"kind": "manufactured", "surface": {"kind": "cap", "radius": radius}},
@@ -654,6 +661,47 @@ CLI_FAULTS = [
      {"mode": "convergence-study",
       "problem": {"kind": "graph-manufactured", "grids": [[9, 9]], "k": 1.5}},
      1, "problem.k: expected an integer"),
+    # float keys and flags: float() and bool() used to take strings and bools
+    ("verify-inequalities", with_inequality(spectrum_box="12"), 1,
+     "problem.spectrum_box: expected a list of numbers, got '12'"),
+    ("verify-inequalities", with_inequality(alpha_list="25"), 1,
+     "problem.alpha_list: expected a list of numbers, got '25'"),
+    ("verify-inequalities", with_inequality(spectrum_box=[True, 2]), 1,
+     r"problem.spectrum_box\[0\]: expected a number, got True"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(q=True)},
+     1, r"problem.ivochkina\[0\].q: expected a number, got True"),
+    ("verify-inequalities", with_inequality(write_records="no"), 1,
+     "problem.write_records: expected true or false, got 'no'"),
+    ("verify-inequalities", with_inequality(pairs=3), 1,
+     r"problem.pairs: expected a list of \[n, k\] pairs, got 3"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"tol": "1e-9"}), 1,
+     "solver.tol: expected a number, got '1e-9'"),
+    # surface fields: float() took "2" and true, and tuple indexing split "12"
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": with_surface(center="12")}, 1,
+     "problem.H.surface.center: expected two numbers, got '12'"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": with_surface(radius="2")}, 1,
+     "problem.H.surface.radius: expected a number, got '2'"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": with_surface(offset=True)}, 1,
+     "problem.H.surface.offset: expected a number, got True"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": with_surface(tilt=[0.1, "0"])}, 1,
+     r"problem.H.surface.tilt\[1\]: expected a number, got '0'"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-manufactured", "grids": [[9, 9]],
+                  "surface": {"kind": "paraboloid", "alpha": "0.3"}}}, 1,
+     "problem.surface.alpha: expected a number, got '0.3'"),
+    # monomials: float() took "0.2" and int() truncated a power of 1.5
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], ["0.2", 0, 0, 1]]),
+     1, r"problem.phi\[1\]\[0\]: expected a number, got '0.2'"),
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0, 0], [0.2, 0, 0, 1.5]]),
+     1, r"problem.phi\[1\]\[3\]: expected an integer, got 1.5"),
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0]]),
+     1, r"problem.phi\[0\]: expected \[coef, i, j, k\]"),
 ]
 
 
@@ -670,7 +718,11 @@ CLI_FAULTS = [
     "alpha_list-nan", "measure-phi-nan", "graph-cap-radius-nan", "graph-k-2.9",
     "graph-grid-9.7", "measure-operator-k-1.5", "measure-grid-three-entries", "seed-1.5",
     "measure-max_iter-2.5", "measure-grid-string", "sample_count-10.5", "pair-bool",
-    "pair-three-entries", "ivochkina-k-2.5", "ivochkina-grid-33.5", "study-graph-k-1.5"])
+    "pair-three-entries", "ivochkina-k-2.5", "ivochkina-grid-33.5", "study-graph-k-1.5",
+    "spectrum_box-string", "alpha_list-string", "spectrum_box-bool", "ivochkina-q-bool",
+    "write_records-string", "pairs-int", "measure-tol-string", "cap-center-string",
+    "cap-radius-string", "cap-offset-bool", "cap-tilt-string", "paraboloid-alpha-string",
+    "phi-coef-string", "phi-power-1.5", "phi-three-entries"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"

@@ -21,6 +21,7 @@ from prescurv.inequality_lab import (
     check_krylov_convexity,
     draw_direction,
     run_campaign,
+    sample_campaign,
     sample_gamma_k,
     sample_rng,
     tally,
@@ -123,6 +124,48 @@ def test_direction_batch_equals_single_draws(n, k):
     assert batch.shape == (3, n, n)
     assert np.array_equal(batch, [draw_direction(cfg, single_rng) for _ in range(3)])
     assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
+
+
+def scalar_samples(cfg):
+    """Spectra, directions and cone tests per sample of the per-sample loop."""
+    lam, B3, attempts = [], [], []
+    rng = None
+    for i in range(cfg.sample_count):
+        rng = sample_rng(cfg, i, rng)
+        tries = 1
+        while not in_gamma_k(lam_i := rng.uniform(*cfg.spectrum_box, size=cfg.n), cfg.k,
+                             return_margin=False):
+            tries += 1
+        lam.append(lam_i)
+        B3.append(draw_direction(cfg, rng, (3,)))
+        attempts.append(tries)
+    return np.array(lam), np.array(B3), attempts
+
+
+@pytest.mark.parametrize("seed", [2024, -3, (1 << 64) + 11])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (5, 3), (6, 6)])
+def test_batched_sampler_equals_scalar_loop(n, k, seed):
+    # about a quarter of the (6,6) samples outrun the first window
+    cfg = SampleConfig(n=n, k=k, sample_count=120, seed=seed)
+    lam, B3 = sample_campaign(cfg)
+    rng = None
+    for i in range(cfg.sample_count):
+        rng = sample_rng(cfg, i, rng)
+        assert np.array_equal(lam[i], sample_gamma_k(cfg, rng))
+        assert np.array_equal(B3[i], draw_direction(cfg, rng, (3,)))
+
+
+@pytest.mark.parametrize("budget", [inequality_lab._WORD_BUDGET, 50])
+def test_batched_sampler_equals_scalar_loop_past_the_window(monkeypatch, budget):
+    # about 0.4% of this box lies in Gamma_2: samples outrun the first
+    # window, and the small budget draws one sample per group, so the window
+    # grows with the attempts seen after every sample
+    monkeypatch.setattr(inequality_lab, "_WORD_BUDGET", budget)
+    cfg = SampleConfig(n=3, k=2, sample_count=40, seed=-3, spectrum_box=(-2.0, 0.3))
+    lam, B3, attempts = scalar_samples(cfg)
+    assert min(attempts) <= inequality_lab._WINDOW < max(attempts)
+    got = sample_campaign(cfg)
+    assert np.array_equal(got[0], lam) and np.array_equal(got[1], B3)
 
 
 def test_rejection_cap_raises_after_cap_cone_tests(monkeypatch):
