@@ -59,14 +59,10 @@ def sigma_subset_oracle(values, l):
     return total if values.ndim > 1 else float(total)
 
 
-_DELETE_INDEX_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _delete_one_indices(n):
-    if n not in _DELETE_INDEX_CACHE:
-        idx = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
-        _DELETE_INDEX_CACHE[n] = idx
-    return _DELETE_INDEX_CACHE[n]
+    """Per entry i, the indices of the n - 1 other entries."""
+    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=int)
 
 
 def sigma_grad(values, l):
@@ -80,6 +76,39 @@ def sigma_grad(values, l):
     deleted = values[..., _delete_one_indices(n)]  # (..., n, n-1)
     out = sigma(deleted, l - 1)
     return out if values.ndim > 1 else np.asarray(out, dtype=float)
+
+
+@functools.lru_cache(maxsize=None)
+def _delete_two_indices(n):
+    """Pairs i < j and, per pair, the indices of the n - 2 other entries."""
+    i, j = np.triu_indices(n, 1)
+    keep = [[m for m in range(n) if m not in pair] for pair in zip(i, j)]
+    return i, j, np.array(keep, dtype=int).reshape(len(i), n - 2)
+
+
+def sigma_diag_derivs(values, B, l):
+    """d/dt and d^2/dt^2 of sigma_l(diag(values) + t B) at t = 0.
+
+    At a diagonal matrix both have closed forms (Caffarelli, Nirenberg &
+    Spruck, Acta Math. 155, 1985):
+        first  = sum_i sigma_{l-1}(values | i) B_ii,
+        second = sum_{i != j} sigma_{l-2}(values | ij) (B_ii B_jj - B_ij^2),
+    where (values | i) and (values | ij) delete entries i, and i and j.
+    values (..., n) and B (..., n, n) broadcast over their leading axes.
+    """
+    values = np.asarray(values, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = values.shape[-1]
+    if B.shape[-2:] != (n, n):
+        raise ValueError("B must be a square matrix matching the spectrum")
+    diag = np.diagonal(B, axis1=-2, axis2=-1)
+    first = np.sum(sigma_grad(values, l) * diag, axis=-1)
+    if l < 2:
+        return first, np.zeros_like(first)
+    i, j, keep = _delete_two_indices(n)
+    minors = diag[..., i] * diag[..., j] - B[..., i, j] ** 2
+    second = 2.0 * np.sum(sigma(values[..., keep], l - 2) * minors, axis=-1)
+    return first, second
 
 
 _VANDERMONDE_ROW2 = {}

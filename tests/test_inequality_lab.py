@@ -1,5 +1,4 @@
 import hashlib
-import math
 import os
 import runpy
 import sys
@@ -11,10 +10,10 @@ from prescurv import inequality_lab
 from prescurv.errors import SamplingError
 from prescurv.inequality_lab import (
     _REJECTION_CAP,
-    _STENCIL5,
     KINDS,
     SampleConfig,
-    _diag_embed,
+    _gll_rhs,
+    _gll_sides,
     _ratio_alpha_d2,
     check_gll,
     check_ivochkina_condition,
@@ -212,75 +211,45 @@ def test_krylov_random_samples_nonnegative():
         assert rec.passed or rec.inconclusive
 
 
-def ratio_alpha_d2_full_batch(lam, B, alphas, k):
-    """_ratio_alpha_d2 with its former step control, which solved every
-    sample on each pass and once more after the loop; also returns how
-    often each sample's step was halved."""
-    S, n = lam.shape
-    A = _diag_embed(lam)
-    bnorm = np.sqrt(np.sum(B * B, axis=(-2, -1)))
-    scale = np.abs(lam).max(axis=-1)
-    h = 0.02 * (1.0 + scale) / (1.0 + bnorm)
-    halvings = np.zeros(S, dtype=int)
-    inconclusive = np.zeros(S, dtype=bool)
-    s1 = sigma(lam, 1)
-    sk = sigma(lam, k)
-    inconclusive |= sk / math.comb(n, k) < 1e-8 * (s1 / n) ** k
-    offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    for _ in range(8):
-        t = h[:, None] * offsets[None, :]
-        eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
-        bad = ~in_gamma_k(eig, k, return_margin=False).all(axis=1)
-        if not bad.any():
-            break
-        h = np.where(bad, 0.5 * h, h)
-        halvings += bad
-    else:
-        inconclusive |= bad
-    t = h[:, None] * offsets[None, :]
-    eig = np.linalg.eigvalsh(A[:, None] + t[..., None, None] * B[:, None])
-    s1t = sigma(eig, 1)
-    skt = sigma(eig, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(skt > 0.0, s1t / np.where(skt > 0.0, skt, 1.0), np.nan)
-    values = np.empty((len(alphas), S))
-    errs = np.empty((len(alphas), S))
-    for ia, alpha in enumerate(alphas):
-        f = ratio**alpha
-        d_h = (f[:, [0, 1, 3, 5, 6]] @ _STENCIL5) / (12.0 * h**2)
-        d_h2 = (f[:, [1, 2, 3, 4, 5]] @ _STENCIL5) / (12.0 * (0.5 * h) ** 2)
-        values[ia] = d_h2
-        errs[ia] = np.abs(d_h - d_h2) / 15.0
-    inconclusive = inconclusive | ~np.isfinite(values).all(axis=0)
-    return values, errs, inconclusive, halvings
+def test_ratio_near_boundary_closed_form():
+    # sigma_1 = 1.5 + e + t and sigma_2 = 2 (e + t) at (1, 1, -0.5 + e) + t e_3,
+    # so r = 0.75/(e + t) + 0.5.  The boundary rule
+    # sigma_2/3 < 1e-8 (sigma_1/3)^2 holds for e below about 3.75e-9.
+    es = np.array([0.012, 2.5e-4, 1e-8, 1e-9, 1e-13])
+    lam = np.stack([np.ones(5), np.ones(5), -0.5 + es], axis=1)
+    B = np.broadcast_to(np.diag([0.0, 0.0, 1.0]), (5, 3, 3))
+    alphas = np.array([0.25, 0.5, 1.0, 2.0])[:, None]
+    values, inconclusive = _ratio_alpha_d2(lam, *_gll_sides(lam, B, 2), alphas[:, 0], 2)
+    assert list(inconclusive) == [False, False, False, True, True]
+    u = lam[:, 2] + 0.5     # e as stored: -0.5 + e rounds e to the spacing at 0.5
+    r, r1, r2 = 0.75 / u + 0.5, -0.75 / u**2, 1.5 / u**3
+    want = (alphas * r ** (alphas - 1) * r2
+            + alphas * (alphas - 1) * r ** (alphas - 2) * r1**2)
+    assert np.allclose(values[:, :3], want[:, :3], rtol=1e-10, atol=0.0)
 
 
-def test_ratio_step_control_matches_full_batch_solves():
-    cfg = SampleConfig(n=3, k=2, sample_count=1, seed=61)
-    lam, B = [], []
-    for i in range(300):
-        gen = sample_rng(cfg, i)
-        lam.append(sample_gamma_k(cfg, gen))
-        B.append(draw_direction(cfg, gen))
-    # sigma_2(1, 1, -0.5 + e + t) = 2 (e + t) along B = e_3 e_3^T, and the
-    # first step is h = 0.02: the node at -2h leaves the cone until 2h < e.
-    # That takes two halvings for e = 0.012; e = 2.5e-4 is still outside at
-    # the eighth pass and inside at the final step h = 0.02 / 256; e = 1e-13
-    # never gets inside.
-    for e in (0.012, 2.5e-4, 1e-13):
-        lam.append(np.array([1.0, 1.0, -0.5 + e]))
-        B.append(np.diag([0.0, 0.0, 1.0]))
-    lam, B = np.array(lam), np.array(B)
-    alphas = [0.25, 0.5, 1.0, 2.0]
-    values, errs, inconclusive = _ratio_alpha_d2(lam, B, alphas, 2)
-    want_values, want_errs, want_inconclusive, halvings = ratio_alpha_d2_full_batch(
-        lam, B, alphas, 2)
-    assert list(halvings[-3:]) == [2, 8, 8]
-    assert 0 < np.count_nonzero(halvings[:-3]) < len(halvings) - 3
-    assert np.isfinite(want_values[:, -2]).all() and want_inconclusive[-2]
-    assert np.array_equal(values, want_values, equal_nan=True)
-    assert np.array_equal(errs, want_errs, equal_nan=True)
-    assert np.array_equal(inconclusive, want_inconclusive)
+def test_ratio_non_finite_is_inconclusive():
+    # far inside the cone, but the squares of the derivatives overflow
+    lam = np.ones((1, 3))
+    B = 1e200 * np.eye(3)[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, inconclusive = _ratio_alpha_d2(lam, *_gll_sides(lam, B, 2), [1.0], 2)
+    assert not np.isfinite(values).any() and list(inconclusive) == [True]
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (5, 3), (6, 6)])
+def test_krylov_value_is_scaled_gll_margin(n, k):
+    # (g'' + alpha g'^2) sigma_k = rhs - lhs for g = log(sigma_1/sigma_k): the
+    # two kernels compute the same sign by different routes
+    cfg = SampleConfig(n=n, k=k, sample_count=200, seed=3)
+    lam, B3 = sample_campaign(cfg)
+    alphas = np.array(cfg.alpha_list)[:, None]
+    lhs, sk, rk, r1 = _gll_sides(lam, B3[:, 0], k)
+    values, inconclusive = _ratio_alpha_d2(lam, lhs, sk, rk, r1, alphas[:, 0], k)
+    scaled = alphas * (sigma(lam, 1) / sk) ** alphas * (_gll_rhs(sk, rk, r1, alphas) - lhs) / sk
+    ok = ~inconclusive
+    assert ok.sum() > 190
+    assert np.allclose(values[:, ok], scaled[:, ok], rtol=1e-9, atol=1e-9)
 
 
 def test_ivochkina_boundary_cases():
@@ -328,7 +297,7 @@ def test_campaign_csv_digest_is_pinned(tmp_path):
     path = tmp_path / "campaign.csv"
     write_campaign_csv([run_campaign(cfg) for cfg in cfgs], cfgs[1], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "cd2c66c56b6dbf854901d033d075c1b3372fb29bf53a8f0740951f714524a51a")
+        "5b91178381d24249c16f5b829ed6fa32bb6f62ec1d76b4286eaa45f1d89a30c0")
 
 
 def test_campaign_counts_structure():

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from prescurv.symmfunc import (
     in_gamma_k,
     operator_value_grad,
     sigma,
+    sigma_diag_derivs,
     sigma_grad,
     sigma_hess_dir,
     sigma_subset_oracle,
@@ -122,6 +125,52 @@ def test_hess_dir_zero_direction_and_linear_sigma1():
     N = rng.normal(size=(4, 4))
     B = 0.5 * (N + N.T)
     assert sigma_hess_dir(A, B, 1) == pytest.approx(0.0, abs=1e-12)
+
+
+def minor_coefficients(lam, B, l):
+    """Coefficients of t^0..t^l in sigma_l(diag(lam) + t B), exactly: the sum
+    of its l x l principal minors, each expanded over permutations of
+    entries lam_i [i == j] + t B_ij, linear polynomials in Fractions."""
+    lam = [Fraction(x) for x in lam]
+    B = [[Fraction(x) for x in row] for row in B]
+    total = [Fraction(0)] * (l + 1)
+    for rows in itertools.combinations(range(len(lam)), l):
+        for perm in itertools.permutations(range(l)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            poly = [Fraction(-1 if inversions % 2 else 1)]
+            for a, b in enumerate(perm):
+                i, j = rows[a], rows[b]
+                c0, c1 = (lam[i] if i == j else 0), B[i][j]
+                poly = [c0 * x + c1 * y for x, y in zip(poly + [0], [0] + poly)]
+            total = [x + y for x, y in zip(total, poly)]
+    return total
+
+
+@pytest.mark.parametrize("n,l", [(n, l) for n in range(2, 6) for l in range(1, n + 1)])
+def test_diag_derivs_match_principal_minor_oracle(n, l):
+    # dyadic entries are exact in floats and Fractions alike; the first
+    # spectrum repeats an entry, where eigenvalue-based formulas degenerate
+    rng = np.random.default_rng(100 * n + l)
+    lam = rng.integers(-16, 17, size=(6, n)) / 8.0
+    lam[0, 1:] = lam[0, 0]
+    M = rng.integers(-16, 17, size=(6, n, n)) / 8.0
+    B = np.triu(M) + np.swapaxes(np.triu(M, 1), -1, -2)
+    first, second = sigma_diag_derivs(lam, B, l)
+    assert first.shape == second.shape == (6,)
+    for s in range(6):
+        c = minor_coefficients(lam[s], B[s], l)
+        one = sigma_diag_derivs(lam[s], B[s], l)
+        for got in (one, (first[s], second[s])):
+            assert got[0] == pytest.approx(float(c[1]), rel=1e-12, abs=1e-12)
+            assert got[1] == pytest.approx(float(2 * c[2]) if l > 1 else 0.0,
+                                           rel=1e-12, abs=1e-12)
+        assert second[s] == pytest.approx(sigma_hess_dir(np.diag(lam[s]), B[s], l),
+                                          rel=1e-9, abs=1e-9)
+
+
+def test_diag_derivs_reject_mismatched_direction():
+    with pytest.raises(ValueError):
+        sigma_diag_derivs(np.ones(3), np.eye(4), 2)
 
 
 def test_hess_dir_matches_central_differences():
