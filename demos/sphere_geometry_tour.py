@@ -31,7 +31,7 @@ for n in (16, 32, 64):
     geo = radial_geometry(ellipsoid_radial_field(g, a, b, c))
     lam_exact = np.sort(ellipsoid_principal_curvatures(
         geo.X.reshape(-1, 3), a, b, c), axis=-1).reshape(geo.principal.shape)
-    err = field_norm(g, np.linalg.norm(geo.principal - lam_exact, axis=-1), "l2")
+    err = field_norm(g, np.linalg.norm(geo.principal - lam_exact, axis=-1))
     order = "" if prev is None else f"   order {math.log2(prev / err):.2f}"
     print(f"grid ({n:3d},{2*n:3d}): weighted-L2 error {err:.3e}{order}")
     prev = err

@@ -155,6 +155,8 @@ def _build_poly(entries, path):
 
 def _build_operator(d, path):
     _check_keys(d, {"kind", "k", "l"}, path)
+    if d.get("kind", "sigma_k") == "sigma_k":
+        _check_keys(d, {"kind", "k"}, f"{path} (kind 'sigma_k')")
     with _config_path(path):
         return OperatorSpec(kind=d.get("kind", "sigma_k"), k=_int(_require(d, "k", path),
                             f"{path}.k"), l=_int(d.get("l", 0), f"{path}.l"))
@@ -166,10 +168,12 @@ def _build_surface(d, path):
     center = _float_pair(d.get("center", (0.0, 0.0)), f"{path}.center")
     offset = _float(d.get("offset", 0.0), f"{path}.offset")
     if kind == "cap":
+        _check_keys(d, {"kind", "radius", "center", "offset", "tilt"}, f"{path} (kind 'cap')")
         return CapSolution(_float(_require(d, "radius", path), f"{path}.radius"),
                            center=center, offset=offset,
                            tilt=_float_pair(d.get("tilt", (0.0, 0.0)), f"{path}.tilt"))
     if kind == "paraboloid":
+        _check_keys(d, {"kind", "alpha", "center", "offset"}, f"{path} (kind 'paraboloid')")
         return ParaboloidSolution(_float(_require(d, "alpha", path), f"{path}.alpha"),
                                   center=center, offset=offset)
     raise ConfigError(f"{path}: unknown surface kind {kind!r}")
@@ -283,6 +287,9 @@ def _parse_measure(problem, solver, seed):
     method = solver.get("method", "homotopy")
     if method not in ("homotopy", "newton"):
         raise ConfigError("solver.method must be 'homotopy' or 'newton'")
+    _check_keys(solver, {"method", "tol", "max_iter"} | (
+        {"dt_init", "dt_min"} if method == "homotopy" else {"start_radius"}),
+        f"solver (method {method!r})")
     # 0: the round-sphere radius
     start_radius = _float(solver.get("start_radius", 0.0), "solver.start_radius")
     if not (start_radius >= 0.0 and math.isfinite(start_radius)):
@@ -306,12 +313,15 @@ def _parse_graph(problem, solver, seed):
                           "surface start; supply H.kind = 'manufactured'")
     if H_kind != "manufactured":
         raise ConfigError("problem.H.kind must be 'poly' or 'manufactured'")
+    _check_keys(H_spec, {"kind", "surface"}, "problem.H (kind 'manufactured')")
     surface = _build_surface(_require(H_spec, "surface", "problem.H"),
                              "problem.H.surface")
+    perturb = _float(solver.get("perturb_start", 1e-2), "solver.perturb_start")
+    if not math.isfinite(perturb):
+        raise ConfigError(f"solver.perturb_start must be finite, got {perturb!r}")
     run = _manufactured_run(surface, grid, k, q, "problem.H.surface",
                             _float(solver.get("tol", 1e-9), "solver.tol"),
-                            _int(solver.get("max_iter", 40), "solver.max_iter"),
-                            _float(solver.get("perturb_start", 1e-2), "solver.perturb_start"))
+                            _int(solver.get("max_iter", 40), "solver.max_iter"), perturb)
     bnd_spec = _require(problem, "boundary", "problem")
     _check_keys(bnd_spec, {"kind", "terms"}, "problem.boundary")
     if _require(bnd_spec, "kind", "problem.boundary") == "poly":
@@ -322,6 +332,8 @@ def _parse_graph(problem, solver, seed):
         run.surface = None
     elif bnd_spec["kind"] != "surface":
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")
+    else:
+        _check_keys(bnd_spec, {"kind"}, "problem.boundary (kind 'surface')")
     return run
 
 
@@ -342,8 +354,6 @@ def _parse_inequalities(problem, solver, seed):
             shared[key] = (_int(value, f"problem.{key}") if key == "sample_count"
                            else _floats(value, f"problem.{key}"))
             SampleConfig(**{key: shared[key]})
-    if shared["spectrum_box"][1] <= 0.0:
-        raise ConfigError("problem.spectrum_box: hi <= 0 leaves no spectrum with sigma_1 > 0")
     configs = []
     for pair in pairs:
         with _config_path(f"problem.pairs {pair}"):
@@ -579,7 +589,7 @@ def _study_rows(run):
                 geo.X.reshape(-1, 3), *axes), axis=-1).reshape(geo.principal.shape)
             diff = np.linalg.norm(geo.principal - lam_exact, axis=-1)
             keep = np.abs(np.cos(field.grid.theta)) <= 0.8
-            yield (field.grid.n_theta, field.grid.n_phi, field_norm(field.grid, diff, "l2"),
+            yield (field.grid.n_theta, field.grid.n_phi, field_norm(field.grid, diff),
                    float(diff[keep].max()))
         elif run.kind == "structure-equations":
             sr = structure_equation_residuals(radial_geometry(case))
@@ -587,7 +597,7 @@ def _study_rows(run):
         elif run.kind == "measure-homotopy":
             field, _ = homotopy_solve(case.problem, case.schedule)
             res_max = verify_apriori_bounds(field, case.problem).residual_max
-            diff = "n/a" if prev is None else field_difference(prev, field, "l2")
+            diff = "n/a" if prev is None else field_difference(prev, field)
             yield (field.grid.n_theta, field.grid.n_phi, res_max, diff)
             prev = field
         elif run.kind == "graph-manufactured":

@@ -228,18 +228,13 @@ def _evaluate_jet(jet, prob):
     return Evaluation(res.ravel(), admissible, margin, aux)
 
 
-def _soft_evaluate(g_int_flat, prob):
-    """_evaluate_jet at the flat interior unknowns (real, or complex as there)."""
-    return _evaluate_jet(_interior_jet(g_int_flat, prob), prob)
-
-
 def graph_residual(field, prob):
     """Per-interior-node residual sigma_k(lambda) - H w^{-q}.
 
     Boundary entries of the field are replaced by the problem's Dirichlet
     data; inadmissible interior spectra raise with the offending nodes.
     """
-    ev = _soft_evaluate(field.g[1:-1, 1:-1].ravel(), prob)
+    ev = _jet_contract(prob)(field.g[1:-1, 1:-1].ravel())
     if not ev.admissible:
         raise ev.outside_cone(prob.k, offset=1)  # full-grid indices
     if ev.aux["H_min"] <= 0.0:
@@ -377,11 +372,11 @@ def _jet_window(grid):
 
 
 def _jet_contract(prob):
-    """JetContract of _soft_evaluate's residual; the window's weights hold
-    the spacing, so its key is the whole grid."""
+    """JetContract of _evaluate_jet on the flat interior unknowns; the
+    window's weights hold the spacing, so its key is the whole grid."""
     grid = prob.grid
     return JetContract(lambda x: _interior_jet(x, prob),
-                       lambda jet: _evaluate_jet(jet, prob).residual,
+                       lambda jet: _evaluate_jet(jet, prob),
                        grid_window(("rect", grid), lambda: _jet_window(grid)))
 
 
@@ -392,8 +387,8 @@ def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):
     steps, Armijo backtracking, cone veto; NonconvergenceError with
     damped_newton's SolveFailure.
     """
-    x, report = damped_newton(start.g[1:-1, 1:-1].ravel(), lambda x: _soft_evaluate(x, prob),
-                              _jet_contract(prob), tol, max_iter)
+    contract = _jet_contract(prob)
+    x, report = damped_newton(start.g[1:-1, 1:-1].ravel(), contract, contract, tol, max_iter)
     g = prob.boundary.copy()
     g[1:-1, 1:-1] = x.reshape(prob.grid.nx - 2, prob.grid.ny - 2)
     return GraphField(prob.grid, g), report

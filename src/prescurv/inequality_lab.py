@@ -68,6 +68,8 @@ class SampleConfig:
             pair = getattr(self, name)
             if not (len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] <= pair[1]):
                 raise ValueError(f"{name} must be finite numbers lo <= hi, got {pair!r}")
+        if self.spectrum_box[1] <= 0.0:
+            raise ValueError("hi <= 0 leaves no spectrum with sigma_1 > 0")
         # results are reported per alpha under its 6-significant-digit label
         labels = [f"{a:g}" for a in self.alpha_list]
         if len(set(labels)) < len(labels):
@@ -219,11 +221,9 @@ def _gll_rhs(sk, rk, r1, alpha):
     return sk * (rk - r1) * ((alpha + 1.0) * rk - (alpha - 1.0) * r1)
 
 
-def check_gll(lam, B, alpha, k=None):
+def check_gll(lam, B, alpha, k):
     """Per-direction quadratic-form check at a single sample."""
     lam = np.asarray(lam, dtype=float)
-    if k is None:
-        raise ValueError("operator order k is required")
     ok, _ = in_gamma_k(lam, k)
     if not ok:
         raise ValueError("spectrum must lie in Gamma_k for the check")

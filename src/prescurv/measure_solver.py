@@ -147,7 +147,7 @@ def _evaluate_jet(jet, prob, phi_vals):
     rho = jet[0].real
     if np.any(rho <= 0.0) or not np.all(np.isfinite(jet[0])):
         return Evaluation(np.full(rho.size, 1e30), False, np.full(rho.shape, -math.inf),
-                          {"u_min": -math.inf, "rho_min": float(rho.min())})
+                          {"u_min": -math.inf})
     _, u, metric, b = radial_forms(jet)
     sig = pencil_sigmas(metric, b)
     margin = cone_margin(s.real for s in sig[1:prob.op.k + 1])
@@ -156,34 +156,26 @@ def _evaluate_jet(jet, prob, phi_vals):
     with np.errstate(divide="ignore", invalid="ignore"):
         res = prob.op.value_on_sigmas(sig) - u**prob.p * phi_vals
     res = np.where(np.isfinite(res), res, 1e30)
-    aux = {"u_min": u_min, "rho_min": float(rho.min()),
-           "rho_max": float(rho.max()), "res_norm2": float(np.linalg.norm(res.real))}
+    aux = {"u_min": u_min, "res_norm2": float(np.linalg.norm(res.real))}
     return Evaluation(res.ravel(), admissible, margin, aux)
 
 
-def _soft_evaluate(rho_flat, prob, phi_vals):
-    """_evaluate_jet at the flat unknowns (real, or complex as there)."""
+def _jet_contract(prob, phi_vals):
+    """JetContract of _evaluate_jet on the flat unknowns rho."""
     grid = prob.grid
-    return _evaluate_jet(radial_jet(grid, rho_flat.reshape(grid.n_theta, grid.n_phi)), prob,
-                         phi_vals)
+    return JetContract(lambda x: radial_jet(grid, x.reshape(grid.n_theta, grid.n_phi)),
+                       lambda jet: _evaluate_jet(jet, prob, phi_vals),
+                       grid_window(("sphere", grid.n_theta, grid.n_phi), grid.column_groups))
 
 
 def residual(field, prob):
     """Per-node residual F(A) - u^p phi(X); errors on inadmissible input."""
     if field.grid is not prob.grid:
         raise ConfigError("field and problem use different grids")
-    ev = _soft_evaluate(field.rho.ravel(), prob, prob.phi_values())
+    ev = _jet_contract(prob, prob.phi_values())(field.rho.ravel())
     if not ev.admissible:
         raise ev.outside_cone(prob.op.k)
     return ev.residual.reshape(field.grid.n_theta, field.grid.n_phi)
-
-
-def _jet_contract(prob, phi_vals):
-    """JetContract of _soft_evaluate's residual."""
-    grid = prob.grid
-    return JetContract(lambda x: radial_jet(grid, x.reshape(grid.n_theta, grid.n_phi)),
-                       lambda jet: _evaluate_jet(jet, prob, phi_vals).residual,
-                       grid_window(("sphere", grid.n_theta, grid.n_phi), grid.column_groups))
 
 
 def newton_solve(start, prob, tol=1e-10, max_iter=30):
@@ -192,9 +184,8 @@ def newton_solve(start, prob, tol=1e-10, max_iter=30):
     Returns (RadialField, SolveReport); raises NonconvergenceError with
     damped_newton's SolveFailure.
     """
-    phi_vals = prob.phi_values()
-    x, report = damped_newton(start.rho.ravel(), lambda x: _soft_evaluate(x, prob, phi_vals),
-                              _jet_contract(prob, phi_vals), tol, max_iter)
+    contract = _jet_contract(prob, prob.phi_values())
+    x, report = damped_newton(start.rho.ravel(), contract, contract, tol, max_iter)
     return RadialField(prob.grid, x.reshape(start.rho.shape)), report
 
 
@@ -280,7 +271,7 @@ def homotopy_solve(prob, schedule=None):
     # constant data (phi identically 1) makes every phi_t the same problem:
     # carry the t=0 solution straight to t=1
     end = _problem_at_t(prob, 1.0)
-    tail = _soft_evaluate(field.rho.ravel(), end, end.phi_values())
+    tail = _jet_contract(end, end.phi_values())(field.rho.ravel())
     if tail.admissible and float(np.abs(tail.residual).max()) <= sched.newton_tol:
         field, _ = solve_at(1.0, field)
         trace.success = True
@@ -321,7 +312,7 @@ def verify_apriori_bounds(field, prob, residual_tol=1e-8):
     residual shows it is not a solution at the stated tolerance."""
     geo = radial_geometry(field)
     phi_vals = prob.phi_values()
-    ev = _soft_evaluate(field.rho.ravel(), prob, phi_vals)
+    ev = _jet_contract(prob, phi_vals)(field.rho.ravel())
     res_max = float(np.abs(ev.residual).max())
     lam = geo.principal
     return BoundsReport(

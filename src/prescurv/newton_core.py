@@ -6,12 +6,13 @@ stencils j_m = D_m x + c_m.  So the Jacobian is J = sum_m diag(dR/dj_m) D_m,
 and dR/dj_m is exact to rounding by the complex step on the pointwise map,
 Im R(j_m + i h) / h (Squire & Trapp, SIAM Rev. 40, 1998): one complex
 evaluation per jet component, whatever the grid.  A solver hands
-damped_newton a JetContract: its jets, its pointwise residual, and its
-Window.  The window holds the grid's read table (row r of the (n, 9)
-integer array lists the unknowns that residual r reads), each D_m as
-closed-form weights on that table's slots, and a FrontalPlan; it is built
-once per grid and kept in a process-wide cache that both solvers share.
-The Jacobian is its (n, 9) values on the read table.
+damped_newton a JetContract: its jets, its pointwise Evaluation, and its
+Window; the contract called at x evaluates there.  The window holds the
+grid's read table (row r of the (n, 9) integer array lists the unknowns
+that residual r reads), each D_m as closed-form weights on that table's
+slots, and a FrontalPlan; it is built once per grid and kept in a
+process-wide cache that both solvers share.  The Jacobian is its (n, 9)
+values on the read table.
 
 The plan is a nested dissection of the read table (George, SIAM J. Numer.
 Anal. 10, 1973): grid domains are bisected until they are small, the
@@ -87,9 +88,8 @@ class SolveReport:
     converged: bool = False
     iterations: int = 0     # accepted corrections, chord steps included
     residual_history: list = field(default_factory=list)   # max norms
-    step_history: list = field(default_factory=list)       # accepted damping factors
     # per iteration: max norm of the full correction (before damping) and
-    # the number of halvings before the damped step was accepted
+    # the number of halvings before the step was accepted (damping 0.5 ** it)
     step_norm_history: list = field(default_factory=list)
     backtrack_history: list = field(default_factory=list)
     cone_margin_history: list = field(default_factory=list)
@@ -108,12 +108,15 @@ class SolveReport:
 @dataclass(frozen=True)
 class JetContract:
     """jets(x): the jet components D_m x + c_m, one value per residual row;
-    residual(jets): the pointwise residual, complex-safe; window: the
-    Window of the D_m."""
+    evaluate(jets): the pointwise Evaluation, its residual complex-safe;
+    window: the Window of the D_m.  contract(x) evaluates at x."""
 
     jets: object
-    residual: object
+    evaluate: object
     window: "Window"
+
+    def __call__(self, x):
+        return self.evaluate(self.jets(x))
 
 
 class Window(NamedTuple):
@@ -148,13 +151,13 @@ def grid_window(key, build):
 # sizes the Jacobian by wrapping this function by name, with x first.
 def fd_jacobian(x, contract):
     """J = sum_m diag(dR/dj_m) D_m, each dR/dj_m one complex step of the
-    pointwise residual, as its (n, s) values on the window's read table:
+    pointwise evaluation, as its (n, s) values on the window's read table:
     J[r, c] is the sum of row r's values at the slots that read c."""
     window, jets = contract.window, contract.jets(x)
     data = np.zeros(window.cols.shape)
     for m, (slots, w) in enumerate(window.weights):
         step = [j + 1j * COMPLEX_STEP if i == m else j for i, j in enumerate(jets)]
-        data[:, slots] += contract.residual(step).imag.reshape(-1, 1) / COMPLEX_STEP * w
+        data[:, slots] += contract.evaluate(step).residual.imag.reshape(-1, 1) / COMPLEX_STEP * w
     return data
 
 
@@ -375,8 +378,8 @@ def check_limits(**limits):
 def damped_newton(x0, eval_fn, contract, tol, max_iter):
     """Chord Newton iteration on a flat unknown vector.
 
-    eval_fn(x) -> Evaluation; contract is the JetContract of the same
-    residual, whose fd_jacobian J is.  Returns (x, SolveReport); raises
+    eval_fn(x) -> Evaluation is the JetContract contract or a wrapper of
+    it; J is contract's fd_jacobian.  Returns (x, SolveReport); raises
     NonconvergenceError with a SolveFailure (last iterate, partial report)
     whose cause is "inadmissible_start" (after the one start evaluation),
     "singular", "line_search" or "max_iter".
@@ -426,7 +429,6 @@ def damped_newton(x0, eval_fn, contract, tol, max_iter):
         rnorm = float(np.abs(ev.residual).max())
         report.iterations += 1
         report.residual_history.append(rnorm)
-        report.step_history.append(s)
         report.step_norm_history.append(float(np.abs(step).max()))
         report.backtrack_history.append(halvings)
         report.cone_margin_history.append(ev.cone_margin)

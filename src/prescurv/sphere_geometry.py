@@ -12,9 +12,9 @@ a positive right-hand side this makes near-round admissible spectra live in
 the Gamma_k cone, which is what the continuation solver needs.
 
 Pole rows of some covariant-Hessian components are one order less accurate
-than the interior (the classic lat-lon pole penalty); aggregate health
-numbers therefore come in three flavours: plain max, quadrature-weighted L2,
-and max over off-pole rows.  structure_equation_residuals monitors this.
+than the interior (the classic lat-lon pole penalty), so aggregate health
+numbers are taken in the quadrature-weighted L2 norm (field_norm) as well
+as the plain max; structure_equation_residuals reports both.
 """
 
 import math
@@ -317,18 +317,12 @@ class StructureResiduals:
     max_support: float
     l2_gauss: float
     l2_support: float
-    offpole_max_gauss: float
-    offpole_max_support: float
 
 
-def field_norm(grid, values, kind="l2"):
-    """Aggregate a per-node field: quadrature-weighted L2 or plain max."""
+def field_norm(grid, values):
+    """Quadrature-weighted L2 norm of a per-node field, normalised by the area 4 pi."""
     values = np.abs(np.asarray(values, dtype=float))
-    if kind == "max":
-        return float(values.max())
-    if kind == "l2":
-        return float(np.sqrt((grid.weights * values**2).sum() / (4.0 * math.pi)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return float(np.sqrt((grid.weights * values**2).sum() / (4.0 * math.pi)))
 
 
 def structure_equation_residuals(geom):
@@ -354,16 +348,13 @@ def structure_equation_residuals(geom):
     r2 = du - rhs
     support = np.sqrt(np.sum(r2**2, axis=-1))
 
-    off = slice(1, -1)
     return StructureResiduals(
         gauss=gauss,
         support=support,
         max_gauss=float(gauss.max()),
         max_support=float(support.max()),
-        l2_gauss=field_norm(grid, gauss, "l2"),
-        l2_support=field_norm(grid, support, "l2"),
-        offpole_max_gauss=float(gauss[off].max()),
-        offpole_max_support=float(support[off].max()),
+        l2_gauss=field_norm(grid, gauss),
+        l2_support=field_norm(grid, support),
     )
 
 
@@ -435,10 +426,10 @@ def restrict_to_coarse(fine_field, coarse_grid):
     return out
 
 
-def field_difference(coarse_field, fine_field, kind="l2"):
-    """Norm of the difference between solutions on nested grids."""
+def field_difference(coarse_field, fine_field):
+    """field_norm of the difference between solutions on nested grids."""
     interp = restrict_to_coarse(fine_field, coarse_field.grid)
-    return field_norm(coarse_field.grid, coarse_field.rho - interp, kind)
+    return field_norm(coarse_field.grid, coarse_field.rho - interp)
 
 
 # ---------------------------------------------------------------------------

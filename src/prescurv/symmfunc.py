@@ -111,25 +111,14 @@ def sigma_diag_derivs(values, B, l):
     return first, second
 
 
-_VANDERMONDE_ROW2 = {}
-
-
-def _t2_weights(l):
-    """Interpolation weights extracting the t^2 coefficient of a degree-l
-    polynomial from its values at the l+1 integer nodes centred near 0."""
-    if l not in _VANDERMONDE_ROW2:
-        s = np.arange(l + 1, dtype=float) - l // 2
-        V = np.vander(s, increasing=True)
-        _VANDERMONDE_ROW2[l] = (np.linalg.inv(V)[2], s)
-    return _VANDERMONDE_ROW2[l]
-
-
 def sigma_hess_dir(A, B, l):
     """Second directional derivative d^2/dt^2 sigma_l(A + t B) at t = 0.
 
-    sigma_l(A + tB) is a polynomial of degree <= l in t, so the coefficient
-    of t^2 is extracted exactly (up to rounding) by evaluating at l+1 nodes
-    and interpolating; no symbolic second-derivative tensor is formed.
+    sigma_l is invariant under orthogonal similarity, so with A = Q
+    diag(lambda) Q^T it is the second derivative of sigma_l(diag(lambda) +
+    t Q^T B Q), which sigma_diag_derivs gives in closed form.  Any
+    orthonormal eigenbasis Q serves, so a repeated eigenvalue needs no
+    special case.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -138,22 +127,9 @@ def sigma_hess_dir(A, B, l):
         raise ValueError("A and B must be square matrices with matching size")
     if not 1 <= l <= n:
         raise ValueError(f"hessian index l={l} out of range 1..{n}")
-    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
-    if l < 2:
-        out = np.zeros(batch)
-        return out if batch else 0.0
-    w2, s = _t2_weights(l)
-    # Scale nodes to the size of B so the sampled matrices stay well ranged.
-    bnorm = np.sqrt(np.sum(B * B, axis=(-2, -1)))
-    tau = 1.0 / (1.0 + bnorm)
-    tau_m = tau[..., None, None] if batch else tau
-    vals = []
-    for sj in s:
-        lam = np.linalg.eigvalsh(A + (sj * tau_m) * B)
-        vals.append(sigma(lam, l))
-    c2 = sum(wj * vj for wj, vj in zip(w2, vals))
-    out = 2.0 * c2 / tau**2
-    return out if batch else float(out)
+    lam, Q = np.linalg.eigh(A)
+    out = sigma_diag_derivs(lam, np.swapaxes(Q, -1, -2) @ B @ Q, l)[1]
+    return out if np.ndim(out) else float(out)
 
 
 def cone_margin(sigmas):

@@ -184,8 +184,8 @@ def test_criterion_05_nontrivial_existence():
             ok &= trace.success and bounds.residual_max <= 1e-8
             ok &= lam_ok and bounds.u_min > 0.0
             sols[n] = field
-        d1 = field_difference(sols[8], sols[16], "l2")
-        d2 = field_difference(sols[16], sols[32], "l2")
+        d1 = field_difference(sols[8], sols[16])
+        d2 = field_difference(sols[16], sols[32])
         order = math.log2(d1 / d2)
         ok &= order >= 1.8
         details.append(f"p={p}: order {order:.2f}")

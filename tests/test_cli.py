@@ -702,6 +702,37 @@ CLI_FAULTS = [
      1, r"problem.phi\[1\]\[3\]: expected an integer, got 1.5"),
     ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1.0, 0, 0]]),
      1, r"problem.phi\[0\]: expected \[coef, i, j, k\]"),
+    # keys that the chosen kind or method does not read used to be ignored
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": {**cap_graph(2.0), "H": {
+         **cap_graph(2.0)["H"], "terms": [[1.0, 0, 0, 0]]}}}, 1,
+     r"problem.H \(kind 'manufactured'\): unknown key\(s\) \['terms'\]"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": {**cap_graph(2.0), "boundary": {
+         "kind": "surface", "terms": [[0.0, 0, 0, 0]]}}}, 1,
+     r"problem.boundary \(kind 'surface'\): unknown key\(s\) \['terms'\]"),
+    *[("solve-graph",
+       {"mode": "solve-graph", "problem": {**cap_graph(2.0), "H": {
+           "kind": "manufactured", "surface": surface}}}, 1,
+       rf"problem.H.surface \(kind '{surface['kind']}'\): unknown key\(s\) \['{key}'\]")
+      for surface, key in [({"kind": "paraboloid", "alpha": -0.25, "radius": 2.0}, "radius"),
+                           ({"kind": "paraboloid", "alpha": -0.25, "tilt": [0.1, 0.0]}, "tilt"),
+                           ({"kind": "cap", "radius": 2.0, "alpha": -0.25}, "alpha")]],
+    ("solve-measure", {**minimal_measure(grid=(8, 16)), "problem": {
+        **minimal_measure(grid=(8, 16))["problem"], "operator": {"kind": "sigma_k", "k": 2,
+                                                                 "l": 1}}},
+     1, r"problem.operator \(kind 'sigma_k'\): unknown key\(s\) \['l'\]"),
+    *[("solve-measure", minimal_measure(grid=(8, 16), solver=solver), 1,
+       rf"solver \(method '{method}'\): unknown key\(s\) \['{key}'\]")
+      for method, key, solver in [
+          ("homotopy", "start_radius", {"start_radius": 1.0}),
+          ("homotopy", "start_radius", {"method": "homotopy", "start_radius": 1.0}),
+          ("newton", "dt_init", {"method": "newton", "dt_init": 0.2}),
+          ("newton", "dt_min", {"method": "newton", "dt_min": 1e-3})]],
+    # JSON NaN and Infinity used to start Newton at a non-finite field (exit 2)
+    *[("solve-graph", {"mode": "solve-graph", "problem": cap_graph(2.0),
+                       "solver": {"perturb_start": v}}, 1,
+       "solver.perturb_start must be finite") for v in (math.nan, math.inf, -math.inf)],
 ]
 
 
@@ -722,7 +753,11 @@ CLI_FAULTS = [
     "spectrum_box-string", "alpha_list-string", "spectrum_box-bool", "ivochkina-q-bool",
     "write_records-string", "pairs-int", "measure-tol-string", "cap-center-string",
     "cap-radius-string", "cap-offset-bool", "cap-tilt-string", "paraboloid-alpha-string",
-    "phi-coef-string", "phi-power-1.5", "phi-three-entries"])
+    "phi-coef-string", "phi-power-1.5", "phi-three-entries", "graph-manufactured-H-terms",
+    "graph-surface-boundary-terms", "paraboloid-radius", "paraboloid-tilt", "cap-alpha",
+    "measure-sigma_k-l", "homotopy-start_radius-default", "homotopy-start_radius",
+    "newton-dt_init", "newton-dt_min", "graph-perturb_start-nan", "graph-perturb_start-inf",
+    "graph-perturb_start-neg-inf"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"

@@ -138,14 +138,14 @@ def test_converged_start_costs_one_evaluation(monkeypatch):
     start = exact_field(CAP, prob.grid)
     res0 = np.abs(graph_residual(start, prob)).max()
     calls = 0
-    evaluate = graph_solver._soft_evaluate
+    evaluate = graph_solver._evaluate_jet
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return evaluate(*args)
 
-    monkeypatch.setattr(graph_solver, "_soft_evaluate", counted)
+    monkeypatch.setattr(graph_solver, "_evaluate_jet", counted)
     _, rep = dirichlet_newton_solve(start, prob, tol=res0 * 1.01)
     assert (rep.iterations, rep.factorizations, calls) == (0, 0, 1)
 

@@ -168,8 +168,9 @@ def test_batched_sampler_equals_scalar_loop_past_the_window(monkeypatch, budget)
 
 
 def test_rejection_cap_raises_after_cap_cone_tests(monkeypatch):
-    # the box lies in the negative orthant, where sigma_1 < 0: nothing is in Gamma_2
-    cfg = SampleConfig(n=3, k=2, sample_count=3, seed=1, spectrum_box=(-2.0, -1.0))
+    # Gamma_2 meets the box only where the three entries sum to more than 0,
+    # within 3e-3 of its top corner: about 6e-10 of it, so the cap is met
+    cfg = SampleConfig(n=3, k=2, sample_count=3, seed=1, spectrum_box=(-2.0, 1e-3))
     calls = []
 
     def counted(*args, **kwargs):
@@ -319,6 +320,9 @@ def test_config_validation():
     # results are keyed by the alpha's 6-significant-digit label
     with pytest.raises(ValueError, match="first 6 significant digits"):
         SampleConfig(n=3, k=2, alpha_list=(0.1234567, 0.1234568))
+    # sigma_1 > 0 needs a positive entry: refused before any cone test
+    with pytest.raises(ValueError, match="hi <= 0 leaves no spectrum"):
+        SampleConfig(n=3, k=2, spectrum_box=(-1.0, -0.5))
 
 
 def booked(alphas, margin, passed, inconclusive):

@@ -129,7 +129,7 @@ def test_ellipsoid_curvature_convergence():
             ellipsoid_principal_curvatures(geo.X.reshape(-1, 3), a, b, c), axis=-1
         ).reshape(geo.principal.shape)
         diff = np.linalg.norm(geo.principal - lam_exact, axis=-1)
-        errs_l2.append(field_norm(g, diff, "l2"))
+        errs_l2.append(field_norm(g, diff))
         keep = np.abs(np.cos(g.theta)) <= 0.8
         errs_sampled.append(diff[keep].max())
     for e in (errs_l2, errs_sampled):

@@ -127,6 +127,31 @@ def test_hess_dir_zero_direction_and_linear_sigma1():
     assert sigma_hess_dir(A, B, 1) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,l,c", [(3, 2, 1.5), (4, 3, -0.7), (5, 4, 2.0), (5, 5, 1.1)])
+def test_hess_dir_at_multiple_of_identity(n, l, c):
+    # every basis is an eigenbasis of c I; d^2/dt^2 sigma_l(c I + t B) at 0
+    # is 2 C(n-2, l-2) c^(l-2) sigma_2(B), B's sum of 2x2 principal minors
+    rng = np.random.default_rng(10 * n + l)
+    M = rng.normal(size=(n, n))
+    B = 0.5 * (M + M.T)
+    sigma2_B = sum(B[i, i] * B[j, j] - B[i, j] ** 2 for i, j in itertools.combinations(range(n), 2))
+    exact = 2.0 * math.comb(n - 2, l - 2) * c ** (l - 2) * sigma2_B
+    assert sigma_hess_dir(c * np.eye(n), B, l) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_hess_dir_batch_equals_single_calls(l):
+    rng = np.random.default_rng(l)
+    M, N = rng.normal(size=(2, 7, 4, 4))
+    A, B = 0.5 * (M + np.swapaxes(M, -1, -2)), 0.5 * (N + np.swapaxes(N, -1, -2))
+    batched = sigma_hess_dir(A, B, l)
+    assert batched.shape == (7,)
+    np.testing.assert_array_equal(batched, [sigma_hess_dir(a, b, l) for a, b in zip(A, B)])
+    # one A against many directions broadcasts the same way
+    np.testing.assert_array_equal(sigma_hess_dir(A[0], B, l),
+                                  [sigma_hess_dir(A[0], b, l) for b in B])
+
+
 def minor_coefficients(lam, B, l):
     """Coefficients of t^0..t^l in sigma_l(diag(lam) + t B), exactly: the sum
     of its l x l principal minors, each expanded over permutations of
