@@ -504,10 +504,8 @@ def _run_measure(run, out_dir, quiet, echo=None):
 
 def _graph_solution_csv(field, path):
     lam, A = full_grid_shape(field)
-    X1, X2 = field.grid.meshes()
-    columns = (X1, X2, field.g, lam[..., 0], lam[..., 1], A)
     write_csv(path, ["x1", "x2", "g", "lambda1", "lambda2", "A_norm"],
-              zip(*(c.ravel().tolist() for c in columns)))
+              [(*field.grid.meshes(), field.g, lam[..., 0], lam[..., 1], A)])
 
 
 def _run_graph(run, out_dir, quiet, echo=None):
@@ -638,7 +636,7 @@ def _run_study(run, out_dir, quiet, echo=None):
         exit_code = EXIT_NONCONVERGENCE
     header = _STUDIES[run.kind][2]
     rows = _with_orders(header, raw)
-    write_csv(os.path.join(out_dir, "study.csv"), header, rows)
+    write_csv(os.path.join(out_dir, "study.csv"), header, [list(zip(*rows))])
     if not quiet:
         for row in rows:
             print(",".join(str(v) for v in row))

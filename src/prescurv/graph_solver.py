@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError, NonconvergenceError
 from .mat2 import pencil_sigmas, shape_operator, sym2
-from .newton_core import Evaluation, JetContract, damped_newton, grid_window, window_weights
+from .newton_core import Evaluation, JetContract, damped_newton, window_weights
 from .symmfunc import cone_margin
 
 GRAPH_DIM = 2
@@ -377,7 +377,7 @@ def _jet_contract(prob):
     grid = prob.grid
     return JetContract(lambda x: _interior_jet(x, prob),
                        lambda jet: _evaluate_jet(jet, prob),
-                       grid_window(("rect", grid), lambda: _jet_window(grid)))
+                       ("rect", grid), lambda: _jet_window(grid))
 
 
 def dirichlet_newton_solve(start, prob, tol=1e-10, max_iter=30):

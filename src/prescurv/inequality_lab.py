@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SamplingError
+from .reporting import format_rows, write_csv
 from .symmfunc import in_gamma_k, sigma, sigma_diag_derivs
 
 _REJECTION_CAP = 20000
@@ -437,12 +438,9 @@ def run_campaign(cfg):
                            passed=margin >= -slack, inconclusive=inconclusive)
 
 
-_ROW = "%s,%d,%.17g,%.17g,%.17g,%d,%d,%s\n"
-
-
 def write_campaign_csv(summaries, cfg, path):
-    """One row per check, campaign by campaign in table order, floats at 17
-    significant digits.
+    """One row per check, campaign by campaign in table order, one table
+    per (campaign, alpha) through write_csv.
 
     Columns are laid out for dimension cfg.n; the rows of a smaller n leave
     the lambda and B cells they do not have empty, so the campaigns of
@@ -453,22 +451,20 @@ def write_campaign_csv(summaries, cfg, path):
                "pass", "inconclusive"]
               + [f"lambda_{i + 1}" for i in range(width)]
               + [f"B_{i + 1}{j + 1}" for i in range(width) for j in range(i, width)])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def tables():
         for s in summaries:
-            n, k = s.cfg.n, s.cfg.k
-            # a sample's lambda/B cells, formatted once for all of its rows
-            block = ",".join(["%.17g"] * n + [""] * (width - n)
-                             + ["%.17g" if j < n else ""
-                                for i in range(width) for j in range(i, width)])
-            upper = np.triu_indices(n)
-            cells = np.concatenate([s.lam, s.B[:, upper[0], upper[1]]], axis=1)
-            blocks = [block % tuple(row) for row in cells.tolist()]
-            blocks = [b for b in blocks for _ in KINDS]
-            index = [i for i in range(s.cfg.sample_count) for _ in KINDS]
+            n, k, count = s.cfg.n, s.cfg.k, len(s.lam)
+            # a sample's lambda/B cells as one cell, formatted once for its rows
+            blocks = format_rows([s.lam[:, i] if i < n else [""] * count for i in range(width)]
+                                 + [s.B[:, i, j] if j < n else [""] * count
+                                    for i in range(width) for j in range(i, width)])
+            blocks = [b for b in [line[:-1] for line in blocks] for _ in KINDS]
+            index = np.arange(count).repeat(len(KINDS))
+            checks = (s.lhs, s.rhs, s.margin, s.passed, s.inconclusive)
             for ia, alpha in enumerate(s.cfg.alpha_list):
-                heads = ["%s,%d,%d,%.17g" % (kind, n, k, alpha) for kind in KINDS]
-                cols = (c[ia].ravel().tolist() for c in (s.lhs, s.rhs, s.margin,
-                                                          s.passed, s.inconclusive))
-                fh.writelines(_ROW % row for row in zip(heads * s.cfg.sample_count,
-                                                        index, *cols, blocks))
+                heads = [h[:-1] for h in format_rows([KINDS] + [[v] * len(KINDS)
+                                                              for v in (n, k, alpha)])]
+                yield [heads * count, index, *(c[ia] for c in checks), blocks]
+
+    write_csv(path, header, tables())

@@ -28,7 +28,7 @@ from .errors import (
     StartRadiusError,
 )
 from .mat2 import pencil_sigmas
-from .newton_core import Evaluation, JetContract, check_limits, damped_newton, grid_window
+from .newton_core import Evaluation, JetContract, check_limits, damped_newton
 from .polynomials import Poly3
 from .sphere_geometry import RadialField, radial_forms, radial_geometry, radial_jet
 from .symmfunc import OperatorSpec, cone_margin, sigma
@@ -165,7 +165,7 @@ def _jet_contract(prob, phi_vals):
     grid = prob.grid
     return JetContract(lambda x: radial_jet(grid, x.reshape(grid.n_theta, grid.n_phi)),
                        lambda jet: _evaluate_jet(jet, prob, phi_vals),
-                       grid_window(("sphere", grid.n_theta, grid.n_phi), grid.column_groups))
+                       ("sphere", grid.n_theta, grid.n_phi), grid.column_groups)
 
 
 def residual(field, prob):

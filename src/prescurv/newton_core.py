@@ -6,13 +6,13 @@ stencils j_m = D_m x + c_m.  So the Jacobian is J = sum_m diag(dR/dj_m) D_m,
 and dR/dj_m is exact to rounding by the complex step on the pointwise map,
 Im R(j_m + i h) / h (Squire & Trapp, SIAM Rev. 40, 1998): one complex
 evaluation per jet component, whatever the grid.  A solver hands
-damped_newton a JetContract: its jets, its pointwise Evaluation, and its
-Window; the contract called at x evaluates there.  The window holds the
-grid's read table (row r of the (n, 9) integer array lists the unknowns
-that residual r reads), each D_m as closed-form weights on that table's
-slots, and a FrontalPlan; it is built once per grid and kept in a
-process-wide cache that both solvers share.  The Jacobian is its (n, 9)
-values on the read table.
+damped_newton a JetContract: its jets, its pointwise Evaluation, and how
+to build its Window; the contract called at x evaluates there.  The
+window holds the grid's read table (row r of the (n, 9) integer array
+lists the unknowns that residual r reads), each D_m as closed-form
+weights on that table's slots, and a FrontalPlan; it is built for the
+first Jacobian on a grid and kept in a process-wide cache that both
+solvers share.  The Jacobian is its (n, 9) values on the read table.
 
 The plan is a nested dissection of the read table (George, SIAM J. Numer.
 Anal. 10, 1973): grid domains are bisected until they are small, the
@@ -105,18 +105,29 @@ class SolveReport:
         return self.residual_history[-1] if self.residual_history else math.inf
 
 
+_WINDOWS = {}     # key -> Window, shared by every contract
+
+
 @dataclass(frozen=True)
 class JetContract:
     """jets(x): the jet components D_m x + c_m, one value per residual row;
     evaluate(jets): the pointwise Evaluation, its residual complex-safe;
-    window: the Window of the D_m.  contract(x) evaluates at x."""
+    build_window(): the Window of the D_m, on window's first use per key
+    (grid objects come and go, shapes repeat).  contract(x) evaluates at x."""
 
     jets: object
     evaluate: object
-    window: "Window"
+    key: object
+    build_window: object
 
     def __call__(self, x):
         return self.evaluate(self.jets(x))
+
+    @property
+    def window(self):
+        if self.key not in _WINDOWS:
+            _WINDOWS[self.key] = self.build_window()
+        return _WINDOWS[self.key]
 
 
 class Window(NamedTuple):
@@ -134,17 +145,6 @@ def window_weights(cols, shape, weights):
     """The Window of the jet weights on the read table cols, whose unknowns
     are numbered row-major on a grid of the given shape."""
     return Window(cols, tuple(weights), frontal_plan(cols, shape))
-
-
-_WINDOWS = {}
-
-
-def grid_window(key, build):
-    """The window of one grid, built by build() on its first use; key names
-    what fixes it (grid objects come and go, shapes repeat)."""
-    if key not in _WINDOWS:
-        _WINDOWS[key] = build()
-    return _WINDOWS[key]
 
 
 # The name predates the complex step and the jet; bench/tracing.py times and

@@ -2,16 +2,17 @@
 
 Payload files (CSV/OBJ/JSON) never contain timestamps, so identical config
 and seed reproduce them byte for byte; wall-clock data lives only in the
-manifest.  CSV and OBJ floats are printed with 17 significant digits; JSON
-floats use Python's shortest round-trip representation, which is equally
-bit-faithful on reload.
+manifest.  Every CSV and OBJ line is formatted here (format_rows), floats
+at 17 significant digits; JSON floats use Python's shortest round-trip
+representation, which is equally bit-faithful on reload.
 """
 
-import functools
 import hashlib
 import json
 import os
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 
@@ -30,20 +31,34 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-@functools.lru_cache(maxsize=256)
-def _cells_template(types):
-    """'%' template of one CSV row from its cell types: bool as 0/1, floats
-    (numpy's included) at 17 significant digits, anything else by str()."""
-    return ",".join("%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float)
-                    else "%s" for t in types)
+def _code(t):
+    """'%' code of a cell of type t: 0/1 for bool, 17 significant digits for float, else str()."""
+    return "%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float) else "%s"
 
 
-def write_csv(path, header, rows):
-    """Rows of mixed scalars; floats formatted at 17 significant digits."""
+def format_rows(columns, sep=","):
+    """The lines, newline-ended, of a table of equal-length columns (numpy
+    arrays, read flat, or sequences of scalars), lazily; ValueError on a
+    short column.  One '%' template serves the table; a column of cells of
+    several codes goes cell by cell."""
+    cells, codes = [], []
+    for col in columns:
+        flat = isinstance(col, np.ndarray)      # an array's cells share one type
+        col = col.ravel().tolist() if flat else col
+        kinds = {_code(t) for t in set(map(type, col[:1] if flat else col))}
+        if len(kinds) != 1:
+            col, kinds = [_code(type(v)) % v for v in col], {"%s"}
+        cells.append(col)
+        codes.append(kinds.pop())
+    return map((sep.join(codes) + "\n").__mod__, zip(*cells, strict=True))
+
+
+def write_csv(path, header, tables):
+    """The header, then the rows of each table (see format_rows) in turn."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_cells_template(tuple(map(type, row))) % tuple(row) + "\n"
-                      for row in rows)
+        for columns in tables:
+            fh.writelines(format_rows(columns))
 
 
 def write_manifest(out_dir, config_echo, input_hashes, started):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import StarshapednessError
 from .mat2 import shape_operator, sym2
 from .newton_core import window_weights
-from .reporting import write_csv
+from .reporting import format_rows, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +438,17 @@ def field_difference(coarse_field, fine_field):
 def export_obj(geom, path):
     """Write the surface as a Wavefront OBJ (quads split into triangles)."""
     nt, np_ = geom.grid.n_theta, geom.grid.n_phi
+    ix = np.arange(1, nt * np_ + 1).reshape(nt, np_)       # 1-based vertex numbers
+    a, b = ix[:-1], np.roll(ix, -1, axis=1)[:-1]    # each quad's (i, j) and (i, j + 1)
+    faces = np.stack([a, b, b + np_, a, b + np_, a + np_], axis=-1).reshape(-1, 3)
     with open(path, "w") as fh:
-        for i in range(nt):
-            for j in range(np_):
-                x, y, z = geom.X[i, j]
-                fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for i in range(nt - 1):
-            for j in range(np_):
-                a = i * np_ + j + 1
-                b = i * np_ + (j + 1) % np_ + 1
-                c = (i + 1) * np_ + (j + 1) % np_ + 1
-                d = (i + 1) * np_ + j + 1
-                fh.write(f"f {a} {b} {c}\n")
-                fh.write(f"f {a} {c} {d}\n")
+        for tag, cols in (("v", geom.X.reshape(-1, 3)), ("f", faces)):
+            fh.writelines(format_rows([[tag] * len(cols), *cols.T], sep=" "))
 
 
 def export_csv(geom, op, path):
     """Per-node CSV: theta, phi, rho, u, lambda1, lambda2, sigma_k."""
-    grid = geom.grid
-    theta, phi = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    columns = (theta, phi, geom.field.rho, geom.u, geom.principal[..., 0],
-               geom.principal[..., 1], op.value_on_spectrum(geom.principal))
+    lam = geom.principal
     write_csv(path, ["theta", "phi", "rho", "u", "lambda1", "lambda2", "sigma_k"],
-              zip(*(c.ravel().tolist() for c in columns)))
+              [(*np.meshgrid(geom.grid.theta, geom.grid.phi, indexing="ij"), geom.field.rho,
+                geom.u, lam[..., 0], lam[..., 1], op.value_on_spectrum(lam))])

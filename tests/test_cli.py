@@ -439,6 +439,7 @@ def test_convergence_study_csv_is_pinned(tmp_path, problem, digest):
     assert sha256_file(str(out / "study.csv")) == digest
 
 
+
 def with_surface(**surface):
     """cap_graph(2.0) with the surface's fields replaced."""
     problem = cap_graph(2.0)
@@ -450,6 +451,26 @@ def cap_graph(radius):
     return {"domain": [-1, 1, -1, 1], "grid": [9, 9], "k": 2, "q": 0.5,
             "H": {"kind": "manufactured", "surface": {"kind": "cap", "radius": radius}},
             "boundary": {"kind": "surface"}}
+
+
+# solver payload digests: a change to how solutions and meshes are written
+# must leave every byte in place
+SOLVE_DIGESTS = [
+    ("solve-measure", {**TILTED_MEASURE, "grid": [8, 16]}, {
+        "solution.csv": "927f62814572964a43f86f759702fb6741b95e7e1b231ddda9ef2bf32d46850e",
+        "surface.obj": "1a6e30a880ec4095e132ae9ad175a70f8cc66fe3d753de11c345c9602fb17356"}),
+    ("solve-graph", cap_graph(2.0), {
+        "solution.csv": "e20b512122b665f10c4bd83add0c6c96bfb15b251a471bd0f37e862a3bb5fd9c"}),
+]
+
+
+@pytest.mark.parametrize("mode, problem, digests", SOLVE_DIGESTS,
+                         ids=[m for m, _, _ in SOLVE_DIGESTS])
+def test_solver_payloads_are_pinned(tmp_path, mode, problem, digests):
+    path = write_config(tmp_path, {"mode": mode, "problem": problem})
+    out = tmp_path / "out"
+    assert main([mode, "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert {name: sha256_file(str(out / name)) for name in digests} == digests
 
 
 PARSE_FAULTS = [

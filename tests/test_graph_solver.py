@@ -105,6 +105,17 @@ def test_flat_field_cone_error_for_k2():
         graph_residual(GraphField(grid, np.zeros((17, 17))), prob)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_trial_heights_are_vetoed(bad):
+    prob = cap_problem(9)
+    x = prob.boundary[1:-1, 1:-1].ravel().copy()
+    x[10] = bad
+    ev = graph_solver._jet_contract(prob)(x)
+    assert not ev.admissible
+    assert np.all(ev.residual == 1e30)
+    assert ev.cone_margin == -math.inf
+
+
 def test_flat_field_mean_curvature_residual():
     grid = RectGrid(*SQUARE, 17, 17)
     prob = GraphProblem(grid, 1, 0.7, GraphRHS(poly=Poly3.constant(1.0)),

@@ -202,6 +202,26 @@ def test_graph_pattern_is_built_once_per_grid(monkeypatch):
     assert len(builds) == 2
 
 
+def test_residual_only_calls_build_no_window(monkeypatch):
+    # residuals, bound reports and the homotopy's constant-data check only
+    # evaluate; the window is built for the first Jacobian on a grid
+    sphere_builds = count_builds(monkeypatch, SphericalGrid, "column_groups")
+    graph_builds = count_builds(monkeypatch, graph_solver, "_jet_window")
+    grid = build_grid(8, 16)
+    prob = MeasureProblem(OperatorSpec("sigma_k", k=2), 1.0, TILT, grid)
+    field = RadialField.constant(grid, 1.05)
+    measure_solver.residual(field, prob)
+    measure_solver.verify_apriori_bounds(field, prob)
+    flat = MeasureProblem(prob.op, prob.p, Poly3(((1.0, (0, 0, 0)),)), grid)
+    assert measure_solver.homotopy_solve(flat)[1].success
+    cap = CapSolution(2.0)
+    graph = manufactured_problem(cap, rect_grid(9), 2, 0.5)
+    graph_solver.graph_residual(manufactured_start(cap, graph.grid), graph)
+    assert sphere_builds == graph_builds == []
+    fd_jacobian(field.rho.ravel(), measure_solver._jet_contract(prob, prob.phi_values()))
+    assert len(sphere_builds) == 1
+
+
 # ---------------------------------------------------------------------------
 # frontal plans and their LU
 

@@ -406,6 +406,37 @@ def test_uniqueness_probe_tilted_problem_distinct_start_shapes():
     assert probe.max_distance <= 1e-6
 
 
+def test_uniqueness_probe_records_a_start_that_fails():
+    # the round sphere of radius 1 solves the problem at once; the radius-3
+    # start needs more than the one correction allowed
+    g = build_grid(8, 16)
+    probe = uniqueness_probe(make_problem(g), [RadialField.constant(g, 1.0),
+                                               RadialField.constant(g, 3.0)], max_iter=1)
+    assert probe.converged == [True, False]
+    assert not probe.complete
+    assert probe.distances[0, 0] == probe.max_distance == 0.0
+    assert np.isnan(probe.distances[[0, 1, 1], [1, 0, 1]]).all()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_trial_rho_not_positive_and_finite_is_vetoed(bad):
+    g = build_grid(8, 16)
+    prob = make_problem(g)
+    x = np.ones(g.n_nodes)
+    x[5] = bad
+    ev = _jet_contract(prob, prob.phi_values())(x)
+    assert not ev.admissible
+    assert np.all(ev.residual == 1e30)
+    assert ev.cone_margin == ev.aux["u_min"] == -math.inf
+
+
+def test_dt_factor_grows_fully_without_a_contraction():
+    assert measure_solver._dt_factor(None) == measure_solver.DT_GROWTH
+    assert measure_solver._dt_factor(0.0) == measure_solver.DT_GROWTH
+    assert measure_solver._dt_factor(measure_solver.THETA_TARGET) == 1.0
+    assert measure_solver._dt_factor(100.0) == measure_solver.DT_SHRINK
+
+
 def test_quotient_operator_t0_solve():
     g = build_grid(12, 24)
     with warnings.catch_warnings():

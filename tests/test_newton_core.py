@@ -229,9 +229,30 @@ def test_inadmissible_start_raises_cone_violation():
     assert calls == 1
 
 
+def test_vetoed_trials_fail_the_line_search():
+    # the start is admissible and every trial is vetoed: the fresh Newton
+    # step is halved MAX_BACKTRACKS times, then the solve fails at x0
+    x, eval_fn, contract = sphere_case()
+    calls = 0
+
+    def start_only(v):
+        nonlocal calls
+        calls += 1
+        ev = eval_fn(v)
+        return ev if calls == 1 else Evaluation(ev.residual, False, ev.margin, ev.aux)
+
+    with pytest.raises(NonconvergenceError, match="line search") as info:
+        damped_newton(x, start_only, contract, tol=1e-12, max_iter=20)
+    failure = info.value.diagnostics
+    assert failure.cause == "line_search"
+    assert calls == 1 + newton_core.MAX_BACKTRACKS
+    assert failure.report.factorizations == 1 and failure.report.iterations == 0
+    np.testing.assert_array_equal(failure.x, x)
+
+
 def assert_singular_failure(x0, jets, residual, cols, shape, weights):
     contract = JetContract(jets, lambda jet: Evaluation(residual(jet), True, 1.0, {}),
-                           window_weights(cols, shape, weights))
+                           object(), lambda: window_weights(cols, shape, weights))
     with pytest.raises(NonconvergenceError, match="singular Jacobian") as info:
         damped_newton(x0, contract, contract, tol=1e-12, max_iter=5)
     failure = info.value.diagnostics

@@ -191,3 +191,23 @@ def test_exports(tmp_path):
     assert len(rows) == 1 + g.n_nodes
     first = [float(v) for v in rows[1].split(",")]
     assert first[2] == pytest.approx(geo.field.rho[0, 0])
+
+
+def loop_obj(geom):
+    """The OBJ text as the vertex and face loops wrote it before the columns."""
+    nt, np_ = geom.grid.n_theta, geom.grid.n_phi
+    out = [f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in geom.X.reshape(-1, 3).tolist()]
+    for i in range(nt - 1):
+        for j in range(np_):
+            a = i * np_ + j + 1
+            b = i * np_ + (j + 1) % np_ + 1
+            c = (i + 1) * np_ + (j + 1) % np_ + 1
+            d = (i + 1) * np_ + j + 1
+            out += [f"f {a} {b} {c}\n", f"f {a} {c} {d}\n"]
+    return "".join(out)
+
+
+def test_obj_export_matches_loop_reference(tmp_path):
+    geo = radial_geometry(smooth_field(build_grid(8, 12)))
+    export_obj(geo, tmp_path / "surface.obj")
+    assert (tmp_path / "surface.obj").read_text() == loop_obj(geo)
