@@ -45,6 +45,7 @@ from .inequality_lab import (
 from .measure_solver import (
     HomotopySchedule,
     MeasureProblem,
+    check_exponent,
     homotopy_solve,
     initial_sphere_radius,
     newton_solve,
@@ -106,18 +107,31 @@ def _float(value, path):
     return float(value)
 
 
-def _floats(value, path):
-    """The numbers of a JSON list (tuple() would split "12" into digits)."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
+def _finite(value, path):
+    """A JSON number that must be finite (JSON Infinity and 1e400 are numbers)."""
+    value = _float(value, path)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return value
+
+
+_COUNTS = {2: "two", 3: "three", 4: "four"}
+
+
+def _floats(value, path, count=None):
+    """The numbers of a JSON list, `count` of them if given (tuple() would
+    split "12" into digits, and a short list would fail as missing arguments)."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        what = "a list of numbers" if count is None else f"{_COUNTS[count]} numbers"
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
     return tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _float_pair(value, path):
-    """The two numbers of a center or a tilt."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected two numbers, got {value!r}")
-    return _floats(value, path)
+def _list(value, path, what):
+    """A JSON list (enumerate() would walk a string or fail on a number)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of {what}, got {value!r}")
+    return value
 
 
 def _int_pair(value, path):
@@ -165,13 +179,13 @@ def _build_operator(d, path):
 def _build_surface(d, path):
     _check_keys(d, {"kind", "radius", "center", "offset", "tilt", "alpha"}, path)
     kind = _require(d, "kind", path)
-    center = _float_pair(d.get("center", (0.0, 0.0)), f"{path}.center")
+    center = _floats(d.get("center", (0.0, 0.0)), f"{path}.center", 2)
     offset = _float(d.get("offset", 0.0), f"{path}.offset")
     if kind == "cap":
         _check_keys(d, {"kind", "radius", "center", "offset", "tilt"}, f"{path} (kind 'cap')")
         return CapSolution(_float(_require(d, "radius", path), f"{path}.radius"),
                            center=center, offset=offset,
-                           tilt=_float_pair(d.get("tilt", (0.0, 0.0)), f"{path}.tilt"))
+                           tilt=_floats(d.get("tilt", (0.0, 0.0)), f"{path}.tilt", 2))
     if kind == "paraboloid":
         _check_keys(d, {"kind", "alpha", "center", "offset"}, f"{path} (kind 'paraboloid')")
         return ParaboloidSolution(_float(_require(d, "alpha", path), f"{path}.alpha"),
@@ -186,7 +200,7 @@ def _sphere_grid(spec, path):
 
 def _rect_grid(domain, spec, path):
     with _config_path(path):
-        return RectGrid(*_floats(domain, "problem.domain"), *_int_pair(spec, path))
+        return RectGrid(*_floats(domain, "problem.domain", 4), *_int_pair(spec, path))
 
 
 @dataclass
@@ -255,6 +269,10 @@ def _measure_problem(problem, grid):
     """MeasureProblem from a config's operator, p and phi on a built grid."""
     op = _build_operator(_require(problem, "operator", "problem"), "problem.operator")
     p = _float(_require(problem, "p", "problem"), "problem.p")
+    try:
+        check_exponent(op, p)
+    except ConfigError as exc:
+        raise ConfigError(f"problem.p: {exc}") from None
     phi = _build_poly(_require(problem, "phi", "problem"), "problem.phi")
     return MeasureProblem(op, p, phi, grid)
 
@@ -304,7 +322,7 @@ def _parse_graph(problem, solver, seed):
     grid = _rect_grid(_require(problem, "domain", "problem"),
                       _require(problem, "grid", "problem"), "problem.domain/grid")
     k = _int(_require(problem, "k", "problem"), "problem.k")
-    q = _float(_require(problem, "q", "problem"), "problem.q")
+    q = _finite(_require(problem, "q", "problem"), "problem.q")
     H_spec = _require(problem, "H", "problem")
     _check_keys(H_spec, {"kind", "terms", "surface"}, "problem.H")
     H_kind = _require(H_spec, "kind", "problem.H")
@@ -316,9 +334,7 @@ def _parse_graph(problem, solver, seed):
     _check_keys(H_spec, {"kind", "surface"}, "problem.H (kind 'manufactured')")
     surface = _build_surface(_require(H_spec, "surface", "problem.H"),
                              "problem.H.surface")
-    perturb = _float(solver.get("perturb_start", 1e-2), "solver.perturb_start")
-    if not math.isfinite(perturb):
-        raise ConfigError(f"solver.perturb_start must be finite, got {perturb!r}")
+    perturb = _finite(solver.get("perturb_start", 1e-2), "solver.perturb_start")
     run = _manufactured_run(surface, grid, k, q, "problem.H.surface",
                             _float(solver.get("tol", 1e-9), "solver.tol"),
                             _int(solver.get("max_iter", 40), "solver.max_iter"), perturb)
@@ -342,9 +358,7 @@ def _parse_inequalities(problem, solver, seed):
                           "direction_scale", "ivochkina", "write_records"},
                 "problem")
     _check_keys(solver, set(), "solver")
-    pairs = _require(problem, "pairs", "problem")
-    if not isinstance(pairs, list):
-        raise ConfigError(f"problem.pairs: expected a list of [n, k] pairs, got {pairs!r}")
+    pairs = _list(_require(problem, "pairs", "problem"), "problem.pairs", "[n, k] pairs")
     # the fields every pair shares are checked alone, so their faults name their key
     shared = {"alpha_list": (0.25, 0.5, 1.0, 2.0), "sample_count": 1000,
               "spectrum_box": (-1.0, 2.0), "direction_scale": (-1.0, 1.0)}
@@ -360,7 +374,8 @@ def _parse_inequalities(problem, solver, seed):
             n, k = _int_pair(pair, f"problem.pairs {pair}")
             configs.append(SampleConfig(n=n, k=k, seed=seed, **shared))
     ivo = []
-    for i, entry in enumerate(problem.get("ivochkina", [])):
+    for i, entry in enumerate(_list(problem.get("ivochkina", []), "problem.ivochkina",
+                                    "scans")):
         path = f"problem.ivochkina[{i}]"
         _check_keys(entry, {"k", "q", "p_box", "grid"}, path)
         with _config_path(path):
@@ -404,7 +419,8 @@ def _parse_study(problem, solver, seed):
     problem_keys, solver_keys = _STUDIES[kind][:2]
     _check_keys(problem, {"kind", "grids"} | problem_keys, "problem")
     _check_keys(solver, solver_keys, "solver")
-    specs = list(enumerate(_require(problem, "grids", "problem")))
+    specs = list(enumerate(_list(_require(problem, "grids", "problem"), "problem.grids",
+                                 "grids")))
     if not specs:
         raise ConfigError("problem.grids must list at least one grid")
     if kind.startswith("graph"):
@@ -413,7 +429,7 @@ def _parse_study(problem, solver, seed):
     else:
         grids = [_sphere_grid(spec, f"problem.grids[{i}]") for i, spec in specs]
     if kind == "ellipsoid-curvature":
-        axes = _floats(problem.get("ellipsoid", (1.15, 1.0, 0.9)), "problem.ellipsoid")
+        axes = _floats(problem.get("ellipsoid", (1.15, 1.0, 0.9)), "problem.ellipsoid", 3)
         return StudyRun(kind, [(ellipsoid_radial_field(grid, *axes), axes) for grid in grids])
     if kind == "structure-equations":
         rho = _build_poly(problem.get("rho", [[2.0, 0, 0, 0], [0.3, 0, 0, 1],
@@ -432,11 +448,15 @@ def _parse_study(problem, solver, seed):
     if kind == "graph-manufactured":
         surface = _build_surface(problem.get("surface", {"kind": "cap", "radius": 2.0}),
                                  "problem.surface")
-        qs = [_float(problem.get("q", 0.0), "problem.q")]
+        qs = [_finite(problem.get("q", 0.0), "problem.q")]
         path, tol, max_iter = "problem.surface", 1e-10, 30
     else:
         surface = CapSolution(_float(problem.get("radius", 2.0), "problem.radius"))
-        qs = _floats(problem.get("q_list", (-1.0, -0.5, 0.0, 0.5, 1.0)), "problem.q_list")
+        qs = [_finite(q, f"problem.q_list[{i}]") for i, q in
+              enumerate(_list(problem.get("q_list", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+                              "problem.q_list", "numbers"))]
+        if not qs:
+            raise ConfigError("problem.q_list must list at least one q")
         path, tol, max_iter = "problem.radius", 1e-9, 40
     k, tol, max_iter = (_int(problem.get("k", 2), "problem.k"),
                         _float(solver.get("tol", tol), "solver.tol"),

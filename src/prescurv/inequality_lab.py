@@ -63,6 +63,9 @@ class SampleConfig:
             raise ValueError("need 2 <= k <= n <= 8")
         if self.sample_count < 0:
             raise ValueError("sample_count must be nonnegative")
+        if not self.alpha_list:
+            raise ValueError("need at least one alpha value; with none, samples are "
+                             "drawn and nothing is checked")
         if not all(a > 0 and math.isfinite(a) for a in self.alpha_list):
             raise ValueError("alpha values must be positive and finite")
         for name in ("spectrum_box", "direction_scale"):
@@ -375,7 +378,8 @@ class CampaignSummary:
     lhs, rhs, margin, passed and inconclusive have shape (n_alpha, S, 3),
     the last axis in KINDS order; this is also the CSV row order.  krylov
     rows carry rhs 0 and lhs minus the second derivative.  A sample's rows
-    share lam (S, n) and B (S, n, n), the first direction drawn.
+    share lam (S, n) and B (S, n, n), the first direction drawn; B owns its
+    data, so the summary does not keep the other two directions alive.
     """
     cfg: SampleConfig
     lam: np.ndarray
@@ -434,8 +438,8 @@ def run_campaign(cfg):
     slack[..., 2] = 1e-9 * (1.0 + np.abs(kv))
     inconclusive = np.zeros(margin.shape, dtype=bool)
     inconclusive[..., 2] = kinc
-    return CampaignSummary(cfg=cfg, lam=lam, B=B3[:, 0], lhs=lhs, rhs=rhs, margin=margin,
-                           passed=margin >= -slack, inconclusive=inconclusive)
+    return CampaignSummary(cfg=cfg, lam=lam, B=B3[:, 0].copy(), lhs=lhs, rhs=rhs,
+                           margin=margin, passed=margin >= -slack, inconclusive=inconclusive)
 
 
 def write_campaign_csv(summaries, cfg, path):

@@ -42,6 +42,19 @@ DT_GROWTH = 4.0
 DT_SHRINK = 0.5
 
 
+def check_exponent(op, p):
+    """ConfigError unless the exponent p is finite and nonzero and k + p != 0
+    for the operator's homogeneity k."""
+    if not math.isfinite(p):
+        raise ConfigError(f"exponent p must be finite, got {p!r}")
+    if p == 0.0:
+        raise ConfigError("exponent p must be nonzero (the support-power "
+                          "gradient bound degenerates at p = 0)")
+    if op.homogeneity + p == 0.0:
+        raise ConfigError("k + p = 0 leaves the round-sphere start equation "
+                          "without a positive root")
+
+
 @dataclass
 class MeasureProblem:
     op: OperatorSpec
@@ -50,18 +63,10 @@ class MeasureProblem:
     grid: object  # SphericalGrid
 
     def __post_init__(self):
-        if not math.isfinite(self.p):
-            raise ConfigError(f"exponent p must be finite, got {self.p!r}")
-        if self.p == 0.0:
-            raise ConfigError("exponent p must be nonzero (the support-power "
-                              "gradient bound degenerates at p = 0)")
+        check_exponent(self.op, self.p)
         if not 1 <= self.op.k <= SURFACE_DIM:
             raise ConfigError(f"operator order k={self.op.k} out of range for "
                               f"surfaces of dimension {SURFACE_DIM}")
-        hom = self.op.homogeneity
-        if hom + self.p == 0.0:
-            raise ConfigError("k + p = 0 leaves the round-sphere start equation "
-                              "without a positive root")
         if self.p > 1.0:
             warnings.warn("p > 1 is outside the guaranteed existence range; "
                           "continuation is allowed to fail", stacklevel=2)

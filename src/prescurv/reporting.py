@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,9 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+_BLOCK = 256       # rows of a table whose cells are Python objects at once
+
+
 def _code(t):
     """'%' code of a cell of type t: 0/1 for bool, 17 significant digits for float, else str()."""
     return "%d" if issubclass(t, bool) else "%.17g" if issubclass(t, float) else "%s"
@@ -39,26 +43,38 @@ def _code(t):
 def format_rows(columns, sep=","):
     """The lines, newline-ended, of a table of equal-length columns (numpy
     arrays, read flat, or sequences of scalars), lazily; ValueError on a
-    short column.  One '%' template serves the table; a column of cells of
-    several codes goes cell by cell."""
-    cells, codes = [], []
+    short column, raised by the call itself, before any line.  One '%'
+    template serves the table; a column of cells of several codes goes
+    cell by cell.  The lines are made _BLOCK rows at a time, so only one
+    block's cells are ever Python objects, however long the table."""
+    cols, codes = [], []
     for col in columns:
-        flat = isinstance(col, np.ndarray)      # an array's cells share one type
-        col = col.ravel().tolist() if flat else col
-        kinds = {_code(t) for t in set(map(type, col[:1] if flat else col))}
-        if len(kinds) != 1:
-            col, kinds = [_code(type(v)) % v for v in col], {"%s"}
-        cells.append(col)
-        codes.append(kinds.pop())
-    return map((sep.join(codes) + "\n").__mod__, zip(*cells, strict=True))
+        if isinstance(col, np.ndarray):     # an array's cells share one type
+            col = col.reshape(-1)           # read flat: a view where the strides allow
+            kinds = {_code(type(v)) for v in col[:1].tolist()}
+        else:
+            kinds = {_code(t) for t in set(map(type, col))}
+        cols.append(col)
+        codes.append(kinds.pop() if len(kinds) == 1 else None)     # None: cell by cell
+    if len({len(col) for col in cols}) > 1:
+        raise ValueError(f"columns of unequal length {[len(col) for col in cols]}")
+    template = sep.join(code or "%s" for code in codes) + "\n"
+
+    def block(col, code, lo):
+        cells = col[lo:lo + _BLOCK]
+        cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+        return cells if code else [_code(type(v)) % v for v in cells]
+
+    return (template % row for lo in range(0, len(cols[0]) if cols else 0, _BLOCK)
+            for row in zip(*(block(col, code, lo) for col, code in zip(cols, codes))))
 
 
 def write_csv(path, header, tables):
     """The header, then the rows of each table (see format_rows) in turn."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for columns in tables:
-            fh.writelines(format_rows(columns))
+        # a table is let go once written, not held while the next is built
+        fh.writelines(chain.from_iterable(map(format_rows, tables)))
 
 
 def write_manifest(out_dir, config_echo, input_hashes, started):

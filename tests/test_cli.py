@@ -754,6 +754,60 @@ CLI_FAULTS = [
     *[("solve-graph", {"mode": "solve-graph", "problem": cap_graph(2.0),
                        "solver": {"perturb_start": v}}, 1,
        "solver.perturb_start must be finite") for v in (math.nan, math.inf, -math.inf)],
+    # faults that used to print a Python message with no key, or none at all
+    ("convergence-study", {"mode": "convergence-study",
+                           "problem": {"kind": "ellipsoid-curvature", "grids": 5}}, 1,
+     "problem.grids: expected a list of grids, got 5"),
+    ("verify-inequalities", with_inequality(ivochkina=5), 1,
+     "problem.ivochkina: expected a list of scans, got 5"),
+    ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "domain": [-1, 1]}},
+     1, r"problem.domain: expected four numbers, got \[-1, 1\]"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-manufactured", "grids": [[9, 9]], "domain": [-1, 1]}},
+     1, r"problem.domain: expected four numbers"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "ellipsoid-curvature", "grids": [[8, 16]], "ellipsoid": [1.0]}},
+     1, r"problem.ellipsoid: expected three numbers, got \[1.0\]"),
+    # JSON 1e400 reads as inf
+    ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "q": math.inf}}, 1,
+     "problem.q must be finite"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-manufactured", "grids": [[9, 9]], "q": math.inf}},
+     1, "problem.q must be finite"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-bound-probe", "grids": [[9, 9]], "q_list": [0.5, math.inf]}},
+     1, r"problem.q_list\[1\] must be finite"),
+    ("solve-measure", minimal_measure(grid=(8, 16), p=-2.0), 1, r"problem.p: k \+ p = 0"),
+    # runs that would check nothing and exit 0
+    ("verify-inequalities", with_inequality(alpha_list=[]), 1,
+     "problem.alpha_list: need at least one alpha value"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-bound-probe", "grids": [[9, 9]], "q_list": []}},
+     1, "problem.q_list must list at least one q"),
+    # the remaining fault branches of the parser
+    ("solve-graph", {"mode": "nope", "problem": {}}, 1, "config: unknown mode 'nope'"),
+    ("solve-graph", [1, 2], 1, "config: expected an object"),
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=3), 1,
+     r"problem.phi: expected a list of \[coef, i, j, k\] monomials, got 3"),
+    ("solve-graph", {"mode": "solve-graph", "problem": with_surface(kind="torus")}, 1,
+     "problem.H.surface: unknown surface kind 'torus'"),
+    ("solve-measure", minimal_measure(grid=(8, 16), solver={"method": "bfgs"}), 1,
+     "solver.method must be 'homotopy' or 'newton'"),
+    ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "H": {"kind": "table"}}},
+     1, "problem.H.kind must be 'poly' or 'manufactured'"),
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": {**cap_graph(2.0), "boundary": {"kind": "zero"}}}, 1,
+     "problem.boundary.kind must be 'surface' or 'poly'"),
+    ("convergence-study", {"mode": "convergence-study", "problem": {"kind": "nope"}}, 1,
+     "problem.kind must be one of"),
+    ("convergence-study", {"mode": "convergence-study",
+                           "problem": {"kind": "ellipsoid-curvature", "grids": []}}, 1,
+     "problem.grids must list at least one grid"),
 ]
 
 
@@ -778,7 +832,11 @@ CLI_FAULTS = [
     "graph-surface-boundary-terms", "paraboloid-radius", "paraboloid-tilt", "cap-alpha",
     "measure-sigma_k-l", "homotopy-start_radius-default", "homotopy-start_radius",
     "newton-dt_init", "newton-dt_min", "graph-perturb_start-nan", "graph-perturb_start-inf",
-    "graph-perturb_start-neg-inf"])
+    "graph-perturb_start-neg-inf", "grids-int", "ivochkina-int", "graph-domain-two-numbers",
+    "study-domain-two-numbers", "ellipsoid-one-axis", "graph-q-inf", "study-q-inf",
+    "q_list-inf", "measure-p-neg-2", "alpha_list-empty", "q_list-empty", "mode-unknown",
+    "config-not-object", "phi-int", "surface-torus", "measure-method-bfgs", "H-kind-table",
+    "boundary-kind-zero", "study-kind-unknown", "grids-empty"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"

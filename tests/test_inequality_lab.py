@@ -308,6 +308,15 @@ def test_campaign_counts_structure():
     assert total == 100  # samples x alphas
 
 
+def test_summary_keeps_only_the_reported_direction():
+    # B is copied out of the (S, 3, n, n) draw, so a held summary does not
+    # pin the two directions that only gll_sum3 reads
+    cfg = SampleConfig(n=3, k=2, sample_count=20, seed=5)
+    s = run_campaign(cfg)
+    assert s.B.base is None
+    assert np.array_equal(s.B, sample_campaign(cfg)[1][:, 0])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(n=9, k=2)
@@ -317,6 +326,9 @@ def test_config_validation():
         SampleConfig(n=3, k=2, alpha_list=(0.0,))
     with pytest.raises(ValueError):
         SampleConfig(n=3, k=2, sample_count=-1)
+    # no alpha: every sample drawn and no check made
+    with pytest.raises(ValueError, match="at least one alpha"):
+        SampleConfig(n=3, k=2, alpha_list=())
     # results are keyed by the alpha's 6-significant-digit label
     with pytest.raises(ValueError, match="first 6 significant digits"):
         SampleConfig(n=3, k=2, alpha_list=(0.1234567, 0.1234568))

@@ -1,12 +1,15 @@
 import math
 import pathlib
+import tracemalloc
+import weakref
+from collections import deque
 
 import numpy as np
 import pytest
 
 from prescurv import inequality_lab, reporting
 from prescurv.inequality_lab import SampleConfig, run_campaign, write_campaign_csv
-from prescurv.reporting import format_rows, write_csv
+from prescurv.reporting import _BLOCK, format_rows, write_csv
 
 
 def per_cell_row(row, sep=","):
@@ -70,9 +73,43 @@ def test_empty_tables_write_the_header_alone(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
-def test_columns_of_unequal_length_are_refused():
+def test_columns_of_unequal_length_are_refused(tmp_path):
     with pytest.raises(ValueError):
         list(format_rows([[1, 2], np.zeros(1)]))
+    # the lengths are checked by the call, so no part of the table is written
+    columns = [np.arange(2 * _BLOCK), np.zeros(2 * _BLOCK - 1)]
+    with pytest.raises(ValueError, match="unequal length"):
+        format_rows(columns)
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [[[1], [2]], columns])
+    assert path.read_text() == "a,b\n1,2\n"
+
+
+@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_blocks_of_rows_match_the_per_cell_formatter(rows):
+    # the mixed column's one string sits in the second block when there is one
+    rng = np.random.default_rng(rows)
+    mixed = rng.standard_normal(rows).tolist()
+    mixed[min(_BLOCK + 1, rows - 1)] = "n/a"
+    columns = [np.arange(rows), rng.standard_normal((rows, 1)) * 1e3, rng.random(rows) < 0.5,
+               [f"r{i}" for i in range(rows)], mixed, rng.standard_normal(2 * rows)[::2]]
+    lines = list(format_rows(columns))
+    assert len(lines) == rows
+    assert "".join(lines) == per_cell_table(columns)
+
+
+def test_formatting_holds_one_block_of_cells():
+    # 10^5 rows of 3 float columns are 3e5 Python floats, about 10 MB, if
+    # made at once; a block of rows takes some kilobytes
+    columns = [np.random.default_rng(i).standard_normal(100_000) for i in range(3)]
+    tracemalloc.start()
+    try:
+        deque(format_rows(columns), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_write_csv_streams_tables_in_turn(tmp_path):
@@ -80,6 +117,23 @@ def test_write_csv_streams_tables_in_turn(tmp_path):
     path = tmp_path / "two.csv"
     write_csv(path, ["a", "b"], iter(tables))
     assert path.read_text() == "a,b\n" + "".join(per_cell_table(t) for t in tables)
+
+
+def test_write_csv_lets_each_table_go_before_the_next(tmp_path):
+    # a campaign's tables are built one by one, so two never coexist
+    written = []
+
+    def tables():
+        for i in range(3):
+            assert all(ref() is None for ref in written)
+            column = np.full(2, float(i))
+            written.append(weakref.ref(column))
+            yield [column]
+            del column
+
+    path = tmp_path / "three.csv"
+    write_csv(path, ["a"], tables())
+    assert path.read_text() == "a\n0\n0\n1\n1\n2\n2\n"
 
 
 def test_campaign_csv_writes_through_the_module_writer(tmp_path, monkeypatch):
