@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -344,7 +344,12 @@ def _parse_graph(problem, solver, seed):
         bpoly = _build_poly(_require(bnd_spec, "terms", "problem.boundary"),
                             "problem.boundary.terms")
         X1, X2 = grid.meshes()
-        run.problem.boundary = bpoly(X1, X2, np.zeros_like(X1))
+        with np.errstate(over="ignore", invalid="ignore"):   # checked by GraphProblem
+            boundary = bpoly(X1, X2, np.zeros_like(X1))
+        try:
+            run.problem = replace(run.problem, boundary=boundary)
+        except ConfigError as exc:
+            raise ConfigError(f"problem.boundary.terms: {exc}") from None
         run.surface = None
     elif bnd_spec["kind"] != "surface":
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")
@@ -385,6 +390,9 @@ def _parse_inequalities(problem, solver, seed):
                                  _int(entry.get("grid", 33), f"{path}.grid"))
             check_ivochkina_args(k, q, p_box, grid)
             ivo.append({"k": k, "q": q, "p_box": p_box, "grid": grid})
+    if not configs and not ivo:
+        raise ConfigError("problem.pairs: no [n, k] pair and no ivochkina scan; "
+                          "the run would check nothing")
     write_records = problem.get("write_records", True)
     if type(write_records) is not bool:
         raise ConfigError(f"problem.write_records: expected true or false, "
@@ -430,12 +438,15 @@ def _parse_study(problem, solver, seed):
         grids = [_sphere_grid(spec, f"problem.grids[{i}]") for i, spec in specs]
     if kind == "ellipsoid-curvature":
         axes = _floats(problem.get("ellipsoid", (1.15, 1.0, 0.9)), "problem.ellipsoid", 3)
-        return StudyRun(kind, [(ellipsoid_radial_field(grid, *axes), axes) for grid in grids])
+        with _config_path("problem.ellipsoid"):
+            return StudyRun(kind, [(ellipsoid_radial_field(grid, *axes), axes)
+                                   for grid in grids])
     if kind == "structure-equations":
         rho = _build_poly(problem.get("rho", [[2.0, 0, 0, 0], [0.3, 0, 0, 1],
                                               [0.2, 1, 1, 0]]), "problem.rho")
-        return StudyRun(kind, [RadialField(grid, rho.eval_unit_vectors(grid.nodes))
-                               for grid in grids])
+        with _config_path("problem.rho"):
+            return StudyRun(kind, [RadialField(grid, rho.eval_unit_vectors(grid.nodes))
+                                   for grid in grids])
     if kind == "measure-homotopy":
         for i in range(1, len(grids)):  # each rung is compared with the one before
             if grids[i].n_phi % grids[i - 1].n_phi:

@@ -144,6 +144,10 @@ class GraphProblem:
         self.boundary = np.asarray(self.boundary, dtype=float)
         if self.boundary.shape != (self.grid.nx, self.grid.ny):
             raise ConfigError("boundary array must cover the full grid")
+        ring = self.boundary.copy()
+        ring[1:-1, 1:-1] = 0.0
+        if not np.all(np.isfinite(ring)):
+            raise ConfigError("boundary data must be finite on the boundary ring")
 
 
 @dataclass

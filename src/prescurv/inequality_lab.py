@@ -117,7 +117,8 @@ def sample_gamma_k(cfg, rng):
     lo, hi = cfg.spectrum_box
     for _ in range(_REJECTION_CAP):
         lam = rng.uniform(lo, hi, size=cfg.n)
-        if in_gamma_k(lam, cfg.k, return_margin=False):
+        ok, _ = in_gamma_k(lam, cfg.k)
+        if ok:
             return lam
     raise SamplingError(
         f"acceptance rate below {1.0 / _REJECTION_CAP}: box {cfg.spectrum_box} "
@@ -211,6 +212,8 @@ def sample_campaign(cfg):
 # ---------------------------------------------------------------------------
 # batched check kernels
 
+KINDS = ("gll", "gll_sum3", "krylov")
+
 
 def _gll_sides(lam, B, k):
     """The second derivative of sigma_k along B (the bound's lhs), sigma_k,
@@ -223,20 +226,6 @@ def _gll_sides(lam, B, k):
 
 def _gll_rhs(sk, rk, r1, alpha):
     return sk * (rk - r1) * ((alpha + 1.0) * rk - (alpha - 1.0) * r1)
-
-
-def check_gll(lam, B, alpha, k):
-    """Per-direction quadratic-form check at a single sample."""
-    lam = np.asarray(lam, dtype=float)
-    ok, _ = in_gamma_k(lam, k)
-    if not ok:
-        raise ValueError("spectrum must lie in Gamma_k for the check")
-    lhs, sk, rk, r1 = _gll_sides(lam, np.asarray(B, dtype=float), k)
-    rhs = _gll_rhs(sk, rk, r1, alpha)
-    margin = float(rhs - lhs)
-    slack = 1e-9 * (1.0 + abs(float(rhs)))
-    return CheckRecord("gll", lam.size, k, alpha, -1, lam, np.asarray(B),
-                       float(lhs), float(rhs), margin, margin >= -slack)
 
 
 def _ratio_alpha_d2(lam, lhs, sk, rk, r1, alphas, k):
@@ -263,22 +252,53 @@ def _ratio_alpha_d2(lam, lhs, sk, rk, r1, alphas, k):
     return values, inconclusive
 
 
+def _check_table(lam, B3, alphas, k):
+    """Check columns lhs, rhs, margin, passed, inconclusive, (n_alpha, S, 3)
+    in KINDS order, of spectra lam (S, n) and directions B3 (S, d, n, n):
+    gll and krylov on the first direction, gll_sum3 summed over all d.  A
+    row passes when margin >= -1e-9 (1 + |rhs|), |value| for krylov."""
+    alpha = np.asarray(alphas, dtype=float)[:, None, None]
+    # (S, d) sides of the directions; krylov reuses the first's
+    sides = _gll_sides(lam[:, None], B3, k)
+    lhs3, rhs3 = sides[0], _gll_rhs(*sides[1:], alpha)
+    lhs1, rhs1 = lhs3[:, 0], rhs3[..., 0]
+    lhs_sum, rhs_sum = lhs3.sum(axis=-1), rhs3.sum(axis=-1)
+    kv, kinc = _ratio_alpha_d2(lam, *(x[:, 0] for x in sides), alphas, k)
+    # (n_alpha, S) columns of each kind, stacked on a last axis in KINDS order
+    lhs = np.stack(np.broadcast_arrays(lhs1, lhs_sum, -kv), axis=-1)
+    rhs = np.stack(np.broadcast_arrays(rhs1, rhs_sum, 0.0), axis=-1)
+    margin = np.stack([rhs1 - lhs1, rhs_sum - lhs_sum, kv], axis=-1)
+    scale = np.abs(rhs)
+    scale[..., 2] = np.abs(kv)
+    inconclusive = np.zeros(margin.shape, dtype=bool)
+    inconclusive[..., 2] = kinc
+    return lhs, rhs, margin, margin >= -1e-9 * (1.0 + scale), inconclusive
+
+
+def _check_row(kind, lam, B, alpha, k):
+    """The CheckRecord of one kind at one sample and direction: its row of
+    the one-sample check table."""
+    lam, B = np.asarray(lam, dtype=float), np.asarray(B, dtype=float)
+    ok, _ = in_gamma_k(lam, k)
+    if not ok:
+        raise ValueError("spectrum must lie in Gamma_k for the check")
+    table = _check_table(lam[None], B[None, None], [alpha], k)
+    return CheckRecord(kind, lam.size, k, alpha, -1, lam, B,
+                       *(c[0, 0, KINDS.index(kind)].item() for c in table))
+
+
+def check_gll(lam, B, alpha, k):
+    """Per-direction quadratic-form check at a single sample."""
+    return _check_row("gll", lam, B, alpha, k)
+
+
 def check_krylov_convexity(lam, B, alpha, k):
     """Second directional derivative of (sigma_1/sigma_k)^alpha at a single
     sample, by the chain rule on the exact derivatives of sigma_1 and
     sigma_k; nonnegative within rounding slack certifies convexity there.
     Returns (value, record); the record's lhs is -value."""
-    lam = np.asarray(lam, dtype=float)
-    ok, _ = in_gamma_k(lam, k)
-    if not ok:
-        raise ValueError("spectrum must lie in Gamma_k for the check")
-    sides = _gll_sides(lam[None], np.asarray(B, dtype=float)[None], k)
-    values, inconclusive = _ratio_alpha_d2(lam[None], *sides, [alpha], k)
-    value = float(values[0, 0])
-    rec = CheckRecord("krylov", lam.size, k, alpha, -1, lam, np.asarray(B),
-                      -value, 0.0, value, value >= -1e-9 * (1.0 + abs(value)),
-                      inconclusive=bool(inconclusive[0]))
-    return value, rec
+    rec = _check_row("krylov", lam, B, alpha, k)
+    return rec.margin, rec
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +363,6 @@ def check_ivochkina_condition(k, q, p_box=3.0, grid=33, n=2):
 
 # ---------------------------------------------------------------------------
 # campaign
-
-KINDS = ("gll", "gll_sum3", "krylov")
 
 
 def tally(alphas, margin, passed, inconclusive):
@@ -417,29 +435,13 @@ class CampaignSummary:
 def run_campaign(cfg):
     """Execute sample_count checks of each kind for one (n, k) pair.
 
-    Hard failure = conclusive margin below -slack.  A conclusive
-    nonnegative convexity check at a sample where the per-direction bound
-    fails is recorded as an implication violation (the bound is derived
-    from convexity, so that combination must not occur).
+    A conclusive nonnegative convexity check at a sample where the
+    per-direction bound fails is recorded as an implication violation (the
+    bound is derived from convexity, so that combination must not occur).
     """
     lam, B3 = sample_campaign(cfg)
-    alpha = np.asarray(cfg.alpha_list, dtype=float)[:, None, None]
-    # (S, 3) sides of the three directions; krylov reuses the first's
-    sides = _gll_sides(lam[:, None], B3, cfg.k)
-    lhs3, rhs3 = sides[0], _gll_rhs(*sides[1:], alpha)
-    lhs1, rhs1 = lhs3[:, 0], rhs3[..., 0]
-    lhs_sum, rhs_sum = lhs3.sum(axis=-1), rhs3.sum(axis=-1)
-    kv, kinc = _ratio_alpha_d2(lam, *(x[:, 0] for x in sides), cfg.alpha_list, cfg.k)
-    # (n_alpha, S) columns of each kind, stacked on a last axis in KINDS order
-    lhs = np.stack(np.broadcast_arrays(lhs1, lhs_sum, -kv), axis=-1)
-    rhs = np.stack(np.broadcast_arrays(rhs1, rhs_sum, 0.0), axis=-1)
-    margin = np.stack([rhs1 - lhs1, rhs_sum - lhs_sum, kv], axis=-1)
-    slack = 1e-9 * (1.0 + np.abs(rhs))
-    slack[..., 2] = 1e-9 * (1.0 + np.abs(kv))
-    inconclusive = np.zeros(margin.shape, dtype=bool)
-    inconclusive[..., 2] = kinc
-    return CampaignSummary(cfg=cfg, lam=lam, B=B3[:, 0].copy(), lhs=lhs, rhs=rhs,
-                           margin=margin, passed=margin >= -slack, inconclusive=inconclusive)
+    return CampaignSummary(cfg, lam, B3[:, 0].copy(),
+                           *_check_table(lam, B3, cfg.alpha_list, cfg.k))
 
 
 def write_campaign_csv(summaries, cfg, path):

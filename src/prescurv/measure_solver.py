@@ -273,15 +273,6 @@ def homotopy_solve(prob, schedule=None):
         exc.diagnostics.trace, exc.diagnostics.t = trace, 0.0
         raise
 
-    # constant data (phi identically 1) makes every phi_t the same problem:
-    # carry the t=0 solution straight to t=1
-    end = _problem_at_t(prob, 1.0)
-    tail = _jet_contract(end, end.phi_values())(field.rho.ravel())
-    if tail.admissible and float(np.abs(tail.residual).max()) <= sched.newton_tol:
-        field, _ = solve_at(1.0, field)
-        trace.success = True
-        return field, trace
-
     t, dt = 0.0, sched.dt_init
     prev = None     # (t, rho) of the accepted step before t
     while t < 1.0:

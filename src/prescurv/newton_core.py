@@ -402,27 +402,24 @@ def damped_newton(x0, eval_fn, contract, tol, max_iter):
     while rnorm > tol:
         if report.iterations >= max_iter:
             raise fail("max_iter", f"no convergence in {max_iter} iterations")
-        accepted = None
-        if lu is not None:
-            step = lu.solve(-ev.residual)
-            if not np.abs(step).max() <= CHORD_THETA * report.step_norm_history[-1]:
-                lu, reason = None, "contraction"
-            else:
-                accepted = _line_search(x, step, ev, eval_fn, 1)
-                if accepted is None:
-                    lu, reason = None, "chord_rejected"
-        if lu is None:
-            data = fd_jacobian(x, contract)
+        chord = lu is not None
+        if not chord:
             try:
-                lu = factorize(contract.window.plan, data)
+                lu = factorize(contract.window.plan, fd_jacobian(x, contract))
             except np.linalg.LinAlgError as exc:
                 raise fail("singular", f"singular Jacobian: {exc}")
             report.factorizations += 1
             report.refactor_reasons.append(reason)
-            step = lu.solve(-ev.residual)
-            accepted = _line_search(x, step, ev, eval_fn, MAX_BACKTRACKS)
-            if accepted is None:
+        step = lu.solve(-ev.residual)
+        if chord and not np.abs(step).max() <= CHORD_THETA * report.step_norm_history[-1]:
+            lu, reason = None, "contraction"
+            continue
+        accepted = _line_search(x, step, ev, eval_fn, 1 if chord else MAX_BACKTRACKS)
+        if accepted is None:
+            if not chord:
                 raise fail("line_search", "line search found no admissible decreasing step")
+            lu, reason = None, "chord_rejected"
+            continue
         x, ev, s, halvings = accepted
         if s < 1.0:
             lu, reason = None, "damped"

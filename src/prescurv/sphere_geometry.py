@@ -362,7 +362,10 @@ def structure_equation_residuals(geom):
 # closed-form test bodies
 
 def ellipsoid_radial_field(grid, a, b, c):
-    """Radial function of the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1."""
+    """Radial function of the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1;
+    ValueError unless the axes a, b, c are finite and nonzero."""
+    if not all(math.isfinite(v) and v != 0.0 for v in (a, b, c)):
+        raise ValueError(f"axes must be finite and nonzero, got {[a, b, c]}")
     x = grid.nodes
     q = (x[..., 0] / a) ** 2 + (x[..., 1] / b) ** 2 + (x[..., 2] / c) ** 2
     return RadialField(grid, q ** -0.5)

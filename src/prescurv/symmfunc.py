@@ -138,7 +138,7 @@ def cone_margin(sigmas):
     return functools.reduce(np.minimum, sigmas)
 
 
-def in_gamma_k(values, k, return_margin=True):
+def in_gamma_k(values, k):
     """Membership of the spectrum in the cone Gamma_k.
 
     Returns (ok, margin): ok is True iff sigma_l > 0 for every l = 1..k and
@@ -150,13 +150,9 @@ def in_gamma_k(values, k, return_margin=True):
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} out of range 1..{n}")
     if values.ndim == 1:
-        ok, margin = _in_gamma_k_scalar(values.tolist(), k)
-    else:
-        margin = cone_margin(sigma(values, l) for l in range(1, k + 1))
-        ok = margin > 0.0
-    if return_margin:
-        return ok, margin
-    return ok
+        return _in_gamma_k_scalar(values.tolist(), k)
+    margin = cone_margin(sigma(values, l) for l in range(1, k + 1))
+    return margin > 0.0, margin
 
 
 def _in_gamma_k_scalar(values, k):

@@ -215,6 +215,20 @@ def test_campaign_without_samples_writes_no_csv(tmp_path):
     assert summary["campaigns"][0]["worst_margins"] == {}
 
 
+def test_ivochkina_scan_without_pairs_is_a_run(tmp_path):
+    # no campaign, but a scan: the run checks something and exits 0
+    path = write_config(tmp_path, {
+        "mode": "verify-inequalities",
+        "problem": {"pairs": [], "ivochkina": [{"k": 2, "q": -1.0}]},
+    })
+    out = tmp_path / "out"
+    assert main(["verify-inequalities", "--config", path, "--out", str(out),
+                 "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["campaigns"] == [] and summary["ivochkina"][0]["holds"] is True
+    assert not (out / "campaign.csv").exists()
+
+
 @pytest.mark.parametrize("alphas", [[0.1234567, 0.1234568, 0.5], [0.5, 0.5]])
 def test_alphas_sharing_a_label_are_a_config_error(tmp_path, alphas):
     # worst margins are reported per alpha label, so two alphas with one
@@ -770,6 +784,21 @@ CLI_FAULTS = [
      {"mode": "convergence-study",
       "problem": {"kind": "ellipsoid-curvature", "grids": [[8, 16]], "ellipsoid": [1.0]}},
      1, r"problem.ellipsoid: expected three numbers, got \[1.0\]"),
+    # overflowing boundary data made the output directory and failed the solve
+    ("solve-graph",
+     {"mode": "solve-graph", "problem": {**cap_graph(2.0), "boundary": {
+         "kind": "poly", "terms": [[1e308, 2, 0, 0], [1e308, 0, 2, 0]]}}}, 1,
+     "problem.boundary.terms: boundary data must be finite"),
+    # study inputs that were named only as "problem", after a numpy warning
+    *[("convergence-study",
+       {"mode": "convergence-study",
+        "problem": {"kind": "ellipsoid-curvature", "grids": [[8, 16]], "ellipsoid": axes}},
+       1, "problem.ellipsoid: axes must be finite and nonzero")
+      for axes in ([0.0, 1.0, 1.0], [math.nan, 1.0, 1.0])],
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "structure-equations", "grids": [[8, 16]], "rho": [[-2.0, 0, 0, 0]]}},
+     1, "problem.rho: rho must be positive"),
     # JSON 1e400 reads as inf
     ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "q": math.inf}}, 1,
      "problem.q must be finite"),
@@ -789,6 +818,8 @@ CLI_FAULTS = [
      {"mode": "convergence-study",
       "problem": {"kind": "graph-bound-probe", "grids": [[9, 9]], "q_list": []}},
      1, "problem.q_list must list at least one q"),
+    ("verify-inequalities", with_inequality(pairs=[]), 1,
+     "problem.pairs: no \\[n, k\\] pair and no ivochkina scan"),
     # the remaining fault branches of the parser
     ("solve-graph", {"mode": "nope", "problem": {}}, 1, "config: unknown mode 'nope'"),
     ("solve-graph", [1, 2], 1, "config: expected an object"),
@@ -833,8 +864,10 @@ CLI_FAULTS = [
     "measure-sigma_k-l", "homotopy-start_radius-default", "homotopy-start_radius",
     "newton-dt_init", "newton-dt_min", "graph-perturb_start-nan", "graph-perturb_start-inf",
     "graph-perturb_start-neg-inf", "grids-int", "ivochkina-int", "graph-domain-two-numbers",
-    "study-domain-two-numbers", "ellipsoid-one-axis", "graph-q-inf", "study-q-inf",
-    "q_list-inf", "measure-p-neg-2", "alpha_list-empty", "q_list-empty", "mode-unknown",
+    "study-domain-two-numbers", "ellipsoid-one-axis", "graph-boundary-overflow",
+    "ellipsoid-axis-zero", "ellipsoid-axis-nan", "structure-rho-negative", "graph-q-inf", "study-q-inf",
+    "q_list-inf", "measure-p-neg-2", "alpha_list-empty", "q_list-empty", "pairs-empty",
+    "mode-unknown",
     "config-not-object", "phi-int", "surface-torus", "measure-method-bfgs", "H-kind-table",
     "boundary-kind-zero", "study-kind-unknown", "grids-empty"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
@@ -868,3 +901,44 @@ def test_readme_json_configs_parse(tmp_path):
     modes = [parse_config(write_config(tmp_path, json.loads(block), f"readme{i}.json")).mode
              for i, block in enumerate(blocks)]
     assert set(modes) == set(MODES)
+
+
+# without --quiet each mode prints a summary of what it did on stdout
+SUMMARY_LINES = [
+    ("solve-measure", minimal_measure(grid=(8, 16)),
+     [r"solve-measure: residual_max=\d\.\d{3}e[+-]\d\d verified=True"]),
+    ("solve-graph", {"mode": "solve-graph", "problem": cap_graph(2.0)},
+     [r"solve-graph: ratio=\d+\.\d{6}"]),
+    ("verify-inequalities",
+     with_inequality(ivochkina=[{"k": 2, "q": -1.0}, {"k": 2, "q": 1.0}]),
+     ["campaign n=3 k=2: clean", r"ivochkina k=2 q=-1.0: holds=True worst=\d\.\d{5}",
+      r"ivochkina k=2 q=1.0: holds=False worst=-\d\.\d{5}"]),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "structure-equations", "grids": [[12, 24], [24, 48]]}},
+     [r"12,24,[^,]+,n/a,[^,]+,n/a", r"24,48,[^,]+,\d\.\d{3},[^,]+,\d\.\d{3}"]),
+]
+
+
+@pytest.mark.parametrize("mode, cfg, lines", SUMMARY_LINES,
+                         ids=[mode for mode, _, _ in SUMMARY_LINES])
+def test_summary_printed_without_quiet(tmp_path, capsys, mode, cfg, lines):
+    path = write_config(tmp_path, cfg)
+    assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == len(lines)
+    for line, pattern in zip(out.splitlines(), lines):
+        assert re.fullmatch(pattern, line), line
+    assert "study aborted" not in err
+
+
+def test_failing_study_reports_its_abort(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "mode": "convergence-study", "solver": {"max_iter": 1},
+        "problem": {"kind": "graph-manufactured", "grids": [[9, 9]]}})
+    out = tmp_path / "out"
+    assert main(["convergence-study", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "study aborted: no convergence in 1 iterations"
+    assert captured.out == ""
+    assert (out / "study.csv").read_text() == "nx,ny,err_max,order\n"

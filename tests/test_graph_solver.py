@@ -252,3 +252,18 @@ def test_problem_validation():
         GraphRHS(poly=Poly3.constant(1.0), samples=np.ones((17, 17)))
     with pytest.raises(ConfigError):
         GraphRHS(samples=-np.ones((17, 17)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_problem_rejects_non_finite_boundary_ring(bad):
+    # the ring is the Dirichlet data; interior entries are never read
+    grid = RectGrid(*SQUARE, 9, 9)
+    rhs = GraphRHS(poly=Poly3.constant(1.0))
+    inside = np.zeros((9, 9))
+    inside[4, 4] = bad
+    GraphProblem(grid, 2, 0.0, rhs, inside)
+    for node in [(0, 4), (8, 8), (4, 0), (3, 8)]:
+        ring = np.zeros((9, 9))
+        ring[node] = bad
+        with pytest.raises(ConfigError, match="boundary data must be finite"):
+            GraphProblem(grid, 2, 0.0, rhs, ring)

@@ -131,9 +131,10 @@ def scalar_samples(cfg):
     rng = None
     for i in range(cfg.sample_count):
         rng = sample_rng(cfg, i, rng)
-        tries = 1
-        while not in_gamma_k(lam_i := rng.uniform(*cfg.spectrum_box, size=cfg.n), cfg.k,
-                             return_margin=False):
+        tries, ok = 0, False
+        while not ok:
+            lam_i = rng.uniform(*cfg.spectrum_box, size=cfg.n)
+            ok, _ = in_gamma_k(lam_i, cfg.k)
             tries += 1
         lam.append(lam_i)
         B3.append(draw_direction(cfg, rng, (3,)))

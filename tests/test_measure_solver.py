@@ -212,7 +212,12 @@ def test_homotopy_constant_density_is_trivial():
     g = build_grid(12, 24)
     sol, trace = homotopy_solve(make_problem(g))
     assert trace.success
-    assert [s.t for s in trace.steps] == [0.0, 1.0]
+    # every phi_t is the same problem: the ordinary steps, none corrected,
+    # and dt grows by the full factor after each
+    assert [s.t for s in trace.steps] == pytest.approx([0.0, 0.1, 0.5, 1.0])
+    assert trace.steps[-1].t == 1.0
+    assert all(s.newton_iters == 0 and s.factorizations == 0 for s in trace.steps)
+    assert not trace.rejections
     assert np.abs(sol.rho - 1.0).max() < 1e-9
 
 

@@ -250,7 +250,6 @@ def test_gamma_k_single_spectrum_matches_batched_path():
                 ok_b, margin_b = in_gamma_k(lam[None, :], k)
                 assert type(ok) is bool and type(margin) is float
                 assert ok == bool(ok_b[0]) and margin == float(margin_b[0])
-                assert in_gamma_k(lam, k, return_margin=False) == ok
     assert in_gamma_k(np.array([1.0, 1.0, -0.5]), 2) == (False, 0.0)
 
 
