@@ -46,6 +46,7 @@ from .measure_solver import (
     HomotopySchedule,
     MeasureProblem,
     check_exponent,
+    check_order,
     homotopy_solve,
     initial_sphere_radius,
     newton_solve,
@@ -265,16 +266,22 @@ def parse_config(path, mode=None, seed_override=None):
     return RunConfig(mode=cfg_mode, seed=seed, echo=raw, payload=payload)
 
 
+def _keyed(path, check, *args, **kwargs):
+    """check(*args, **kwargs), its ConfigError raised again at path."""
+    try:
+        return check(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _measure_problem(problem, grid):
     """MeasureProblem from a config's operator, p and phi on a built grid."""
     op = _build_operator(_require(problem, "operator", "problem"), "problem.operator")
+    _keyed("problem.operator.k", check_order, op)
     p = _float(_require(problem, "p", "problem"), "problem.p")
-    try:
-        check_exponent(op, p)
-    except ConfigError as exc:
-        raise ConfigError(f"problem.p: {exc}") from None
+    _keyed("problem.p", check_exponent, op, p)
     phi = _build_poly(_require(problem, "phi", "problem"), "problem.phi")
-    return MeasureProblem(op, p, phi, grid)
+    return _keyed("problem.phi", MeasureProblem, op, p, phi, grid)
 
 
 def _homotopy_schedule(solver):
@@ -346,10 +353,8 @@ def _parse_graph(problem, solver, seed):
         X1, X2 = grid.meshes()
         with np.errstate(over="ignore", invalid="ignore"):   # checked by GraphProblem
             boundary = bpoly(X1, X2, np.zeros_like(X1))
-        try:
-            run.problem = replace(run.problem, boundary=boundary)
-        except ConfigError as exc:
-            raise ConfigError(f"problem.boundary.terms: {exc}") from None
+        run.problem = _keyed("problem.boundary.terms", replace, run.problem,
+                             boundary=boundary)
         run.surface = None
     elif bnd_spec["kind"] != "surface":
         raise ConfigError("problem.boundary.kind must be 'surface' or 'poly'")

@@ -18,9 +18,9 @@ Every check is taken at A = diag(lambda), where the first and second
 derivatives of sigma_k along B have closed forms in the one- and
 pair-deleted spectra (``symmfunc.sigma_diag_derivs``); each direction's
 are computed once and shared by gll and krylov.  Only rounding is left,
-so the slack is 1e-9 (1 + |value|), and a krylov check is inconclusive
-only near the cone boundary (sigma_k/C(n,k) < 1e-8 (sigma_1/n)^k) or
-where its value is not finite.
+so the slack is 1e-9 (1 + |value|).  A row of any kind is inconclusive
+where its margin is not finite (huge directions overflow), and a krylov
+row also near the cone boundary (sigma_k/C(n,k) < 1e-8 (sigma_1/n)^k).
 
 Sampling is deterministic and parallel-safe: sample i reads its own
 stream, numpy's Philox keyed by (seed mod 2^64, i) from counter 0
@@ -243,9 +243,9 @@ def _ratio_alpha_d2(lam, lhs, sk, rk, r1, alphas, k):
     n = lam.shape[-1]
     s1 = sigma(lam, 1)
     alpha = np.asarray(alphas, dtype=float)[:, None]
-    g1 = r1 - rk
-    g2 = rk * rk - r1 * r1 - lhs / sk
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g1 = r1 - rk
+        g2 = rk * rk - r1 * r1 - lhs / sk
         values = alpha * (s1 / sk) ** alpha * (g2 + alpha * g1 * g1)
     inconclusive = sk / math.comb(n, k) < 1e-8 * (s1 / n) ** k
     inconclusive = inconclusive | ~np.isfinite(values).all(axis=0)
@@ -256,21 +256,23 @@ def _check_table(lam, B3, alphas, k):
     """Check columns lhs, rhs, margin, passed, inconclusive, (n_alpha, S, 3)
     in KINDS order, of spectra lam (S, n) and directions B3 (S, d, n, n):
     gll and krylov on the first direction, gll_sum3 summed over all d.  A
-    row passes when margin >= -1e-9 (1 + |rhs|), |value| for krylov."""
+    row passes when margin >= -1e-9 (1 + |rhs|), |value| for krylov; it is
+    inconclusive where its margin is not finite."""
     alpha = np.asarray(alphas, dtype=float)[:, None, None]
-    # (S, d) sides of the directions; krylov reuses the first's
-    sides = _gll_sides(lam[:, None], B3, k)
-    lhs3, rhs3 = sides[0], _gll_rhs(*sides[1:], alpha)
-    lhs1, rhs1 = lhs3[:, 0], rhs3[..., 0]
-    lhs_sum, rhs_sum = lhs3.sum(axis=-1), rhs3.sum(axis=-1)
-    kv, kinc = _ratio_alpha_d2(lam, *(x[:, 0] for x in sides), alphas, k)
-    # (n_alpha, S) columns of each kind, stacked on a last axis in KINDS order
-    lhs = np.stack(np.broadcast_arrays(lhs1, lhs_sum, -kv), axis=-1)
-    rhs = np.stack(np.broadcast_arrays(rhs1, rhs_sum, 0.0), axis=-1)
-    margin = np.stack([rhs1 - lhs1, rhs_sum - lhs_sum, kv], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (S, d) sides of the directions; krylov reuses the first's
+        sides = _gll_sides(lam[:, None], B3, k)
+        lhs3, rhs3 = sides[0], _gll_rhs(*sides[1:], alpha)
+        lhs1, rhs1 = lhs3[:, 0], rhs3[..., 0]
+        lhs_sum, rhs_sum = lhs3.sum(axis=-1), rhs3.sum(axis=-1)
+        kv, kinc = _ratio_alpha_d2(lam, *(x[:, 0] for x in sides), alphas, k)
+        # (n_alpha, S) columns of each kind, stacked on a last axis in KINDS order
+        lhs = np.stack(np.broadcast_arrays(lhs1, lhs_sum, -kv), axis=-1)
+        rhs = np.stack(np.broadcast_arrays(rhs1, rhs_sum, 0.0), axis=-1)
+        margin = np.stack([rhs1 - lhs1, rhs_sum - lhs_sum, kv], axis=-1)
     scale = np.abs(rhs)
     scale[..., 2] = np.abs(kv)
-    inconclusive = np.zeros(margin.shape, dtype=bool)
+    inconclusive = ~np.isfinite(margin)
     inconclusive[..., 2] = kinc
     return lhs, rhs, margin, margin >= -1e-9 * (1.0 + scale), inconclusive
 
@@ -384,7 +386,7 @@ def tally(alphas, margin, passed, inconclusive):
     hard = [(KINDS[j], alphas[ia], i, m) for ia, i, j, m
             in zip(*(ix.tolist() for ix in fail), margin[fail].tolist())]
     # a conclusive convexity pass where the per-direction bound fails
-    implied = np.nonzero(status["pass"][..., 2] & ~passed[..., 0])
+    implied = np.nonzero(status["pass"][..., 2] & status["fail"][..., 0])
     implied = [(alphas[ia], i) for ia, i in zip(*(ix.tolist() for ix in implied))]
     return counts, worst, hard, implied
 

@@ -42,6 +42,13 @@ DT_GROWTH = 4.0
 DT_SHRINK = 0.5
 
 
+def check_order(op):
+    """ConfigError unless the operator order k lies in 1..SURFACE_DIM."""
+    if not 1 <= op.k <= SURFACE_DIM:
+        raise ConfigError(f"operator order k={op.k} out of range for "
+                          f"surfaces of dimension {SURFACE_DIM}")
+
+
 def check_exponent(op, p):
     """ConfigError unless the exponent p is finite and nonzero and k + p != 0
     for the operator's homogeneity k."""
@@ -61,24 +68,23 @@ class MeasureProblem:
     p: float
     phi: Poly3
     grid: object  # SphericalGrid
+    phi_vals: np.ndarray = field(init=False, repr=False, compare=False)  # read-only
 
     def __post_init__(self):
         check_exponent(self.op, self.p)
-        if not 1 <= self.op.k <= SURFACE_DIM:
-            raise ConfigError(f"operator order k={self.op.k} out of range for "
-                              f"surfaces of dimension {SURFACE_DIM}")
+        check_order(self.op)
         if self.p > 1.0:
             warnings.warn("p > 1 is outside the guaranteed existence range; "
                           "continuation is allowed to fail", stacklevel=2)
         if self.op.kind == "quotient":
             warnings.warn("quotient operator is experimental; continuation is "
                           "allowed to fail", stacklevel=2)
-        phi_vals = self.phi.eval_unit_vectors(self.grid.nodes)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below catches both
+            phi_vals = self.phi.eval_unit_vectors(self.grid.nodes)
         if not np.all((phi_vals > 0.0) & np.isfinite(phi_vals)):
             raise ConfigError("phi must be finite and positive at every grid node")
-
-    def phi_values(self):
-        return self.phi.eval_unit_vectors(self.grid.nodes)
+        phi_vals.flags.writeable = False
+        self.phi_vals = phi_vals
 
 
 @dataclass
@@ -177,7 +183,7 @@ def residual(field, prob):
     """Per-node residual F(A) - u^p phi(X); errors on inadmissible input."""
     if field.grid is not prob.grid:
         raise ConfigError("field and problem use different grids")
-    ev = _jet_contract(prob, prob.phi_values())(field.rho.ravel())
+    ev = _jet_contract(prob, prob.phi_vals)(field.rho.ravel())
     if not ev.admissible:
         raise ev.outside_cone(prob.op.k)
     return ev.residual.reshape(field.grid.n_theta, field.grid.n_phi)
@@ -189,18 +195,15 @@ def newton_solve(start, prob, tol=1e-10, max_iter=30):
     Returns (RadialField, SolveReport); raises NonconvergenceError with
     damped_newton's SolveFailure.
     """
-    contract = _jet_contract(prob, prob.phi_values())
+    contract = _jet_contract(prob, prob.phi_vals)
     x, report = damped_newton(start.rho.ravel(), contract, contract, tol, max_iter)
     return RadialField(prob.grid, x.reshape(start.rho.shape)), report
 
 
-def _problem_at_t(prob, t):
-    """Interpolated data phi_t = 1 - t + t*phi as a fresh problem."""
-    terms = [(1.0 - t, (0, 0, 0))]
-    terms += [(t * c, pw) for c, pw in prob.phi.terms]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return MeasureProblem(prob.op, prob.p, Poly3(tuple(terms)), prob.grid)
+def _phi_at_t(prob, t):
+    """Samples of the interpolated data phi_t = 1 - t + t*phi on the grid."""
+    terms = [(1.0 - t, (0, 0, 0))] + [(t * c, pw) for c, pw in prob.phi.terms]
+    return Poly3(tuple(terms)).eval_unit_vectors(prob.grid.nodes)
 
 
 def _contraction(report):
@@ -229,35 +232,34 @@ def homotopy_solve(prob, schedule=None):
     Predictor-corrector (Allgower & Georg, Introduction to Numerical
     Continuation Methods, SIAM 2003, ch. 2 and 6).  From the second step
     on, the Newton corrector at t + dt starts from the secant predictor
-    through the last two accepted solutions; a predicted rho that is not
-    admissible is dropped for u_t, which is no rejection.  The next dt is
-    dt * clip(sqrt(THETA_TARGET / Theta), DT_SHRINK, DT_GROWTH), with Theta
-    the contraction of the corrector's first two Newton steps (Deuflhard,
-    Newton Methods for Nonlinear Problems, Springer 2004).  A failed
-    corrector halves dt; below schedule.dt_min a NonconvergenceError
+    through the last two accepted solutions, and only its phi_t samples
+    differ; a predicted rho that is not admissible costs one vetoed
+    evaluation and is dropped for u_t, which is no rejection.  The next dt
+    is dt * clip(sqrt(THETA_TARGET / Theta), DT_SHRINK, DT_GROWTH), with
+    Theta the contraction of the corrector's first two Newton steps
+    (Deuflhard, Newton Methods for Nonlinear Problems, Springer 2004).  A
+    failed corrector halves dt; below schedule.dt_min a NonconvergenceError
     with cause "step_underflow" carries the partial trace (the expected
     outcome for out-of-theory parameters such as p > 1), as does a failed
     corrector at t = 0.  The last step lands on t = 1 exactly.
     """
     sched = schedule or HomotopySchedule()
+    limits = (sched.newton_tol, sched.newton_max_iter)
     trace = HomotopyTrace()
-    r0 = initial_sphere_radius(prob.op, prob.p)
-    field = RadialField.constant(prob.grid, r0)
+    grid = prob.grid
+    rho = np.full((grid.n_theta, grid.n_phi), initial_sphere_radius(prob.op, prob.p))
 
     def solve_at(t, start, fallback=None):
-        """Corrector at t from start, or from fallback when start is not
-        admissible."""
-        sub = _problem_at_t(prob, t)
+        """Corrector at t from rho start, or from fallback if start is inadmissible."""
+        contract = _jet_contract(prob, _phi_at_t(prob, t))
         predicted = fallback is not None
         try:
-            out, rep = newton_solve(start, sub, tol=sched.newton_tol,
-                                    max_iter=sched.newton_max_iter)
+            x, rep = damped_newton(start.ravel(), contract, contract, *limits)
         except NonconvergenceError as exc:
             if not predicted or exc.diagnostics.cause != "inadmissible_start":
                 raise
             predicted = False
-            out, rep = newton_solve(fallback, sub, tol=sched.newton_tol,
-                                    max_iter=sched.newton_max_iter)
+            x, rep = damped_newton(fallback.ravel(), contract, contract, *limits)
         step = HomotopyStep(
             t=t, newton_iters=rep.iterations, factorizations=rep.factorizations,
             refactor_reasons=rep.refactor_reasons, final_residual=rep.final_residual,
@@ -265,10 +267,10 @@ def homotopy_solve(prob, schedule=None):
             min_u=min(a["u_min"] for a in rep.aux_history),
             contraction=_contraction(rep), predicted=predicted)
         trace.steps.append(step)
-        return out, step
+        return x.reshape(start.shape), step
 
     try:
-        field, _ = solve_at(0.0, field)
+        rho, _ = solve_at(0.0, rho)
     except NonconvergenceError as exc:
         exc.diagnostics.trace, exc.diagnostics.t = trace, 0.0
         raise
@@ -279,36 +281,33 @@ def homotopy_solve(prob, schedule=None):
         t_try = t + dt
         if t_try > 1.0 - 0.5 * sched.dt_min:
             t_try = 1.0     # float sums of dt stop a rounding error short of 1
-        start, fallback = field, None
+        start, fallback = rho, None
         if prev is not None:
-            guess = _secant(field.rho, prev[1], (t_try - t) / (t - prev[0]))
-            if np.all(guess > 0.0):
-                start, fallback = RadialField(prob.grid, guess), field
+            start, fallback = _secant(rho, prev[1], (t_try - t) / (t - prev[0])), rho
         try:
-            field_try, step = solve_at(t_try, start, fallback)
+            rho_try, step = solve_at(t_try, start, fallback)
         except NonconvergenceError as exc:
             trace.rejections.append((t_try, dt, str(exc)))
             dt *= 0.5
             if dt < sched.dt_min:
                 raise NonconvergenceError(
                     f"continuation stalled at t = {t:.6f} (step underflow)",
-                    SolveFailure("step_underflow", field.rho.ravel(),
+                    SolveFailure("step_underflow", rho.ravel(),
                                  exc.diagnostics.report, trace, t))
             continue
         step.dt_factor = _dt_factor(step.contraction)
-        prev = (t, field.rho)
-        field, t = field_try, t_try
+        prev = (t, rho)
+        rho, t = rho_try, t_try
         dt *= step.dt_factor
     trace.success = True
-    return field, trace
+    return RadialField(grid, rho), trace
 
 
 def verify_apriori_bounds(field, prob, residual_tol=1e-8):
     """Bound report for a computed field; labeled unverified when the
     residual shows it is not a solution at the stated tolerance."""
     geo = radial_geometry(field)
-    phi_vals = prob.phi_values()
-    ev = _jet_contract(prob, phi_vals)(field.rho.ravel())
+    ev = _jet_contract(prob, prob.phi_vals)(field.rho.ravel())
     res_max = float(np.abs(ev.residual).max())
     lam = geo.principal
     return BoundsReport(
@@ -316,8 +315,8 @@ def verify_apriori_bounds(field, prob, residual_tol=1e-8):
         rho_max=float(field.rho.max()),
         u_min=float(geo.u.min()),
         sigma1_max=float(sigma(lam, 1).max()),
-        phi_min=float(phi_vals.min()),
-        phi_max=float(phi_vals.max()),
+        phi_min=float(prob.phi_vals.min()),
+        phi_max=float(prob.phi_vals.max()),
         homogeneity=prob.op.homogeneity,
         residual_max=res_max,
         verified=bool(ev.admissible and res_max <= residual_tol),

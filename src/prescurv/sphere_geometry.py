@@ -4,7 +4,9 @@ Discretization: staggered latitude-longitude grid (colatitude nodes at
 (i+1/2) pi/n_theta, no node on a pole), periodic longitude, and cross-pole
 ghost rows: the ghost at colatitude -theta_j is the row at +theta_j shifted
 by half a revolution.  Scalar fields extend through the pole with parity +1;
-longitude-frame vector components flip sign (parity -1).
+longitude-frame vector components flip sign (parity -1).  All geometry is
+read off radial_jet's six arrays per node (rho, its gradient and covariant
+Hessian in the orthonormal frame); no frame vector or normal is stored.
 
 Sign convention: the second fundamental form is oriented so that the round
 sphere of radius r with outward normal has principal curvatures +1/r.  With
@@ -40,8 +42,6 @@ class SphericalGrid:
     phi: np.ndarray            # (n_phi,) longitudes
     nodes: np.ndarray          # (n_theta, n_phi, 3) unit vectors
     weights: np.ndarray        # (n_theta, n_phi), sum exactly 4 pi
-    e_theta: np.ndarray        # (n_theta, n_phi, 3) unit colatitude tangent
-    e_phi: np.ndarray          # (n_theta, n_phi, 3) unit longitude tangent
 
     @property
     def dtheta(self):
@@ -167,12 +167,9 @@ def build_grid(n_theta, n_phi):
     nodes = np.stack([st * cp, st * sp, ct * np.ones_like(sp)], axis=-1)
     w = st * np.ones_like(sp)
     weights = w * (4.0 * math.pi / w.sum())
-    e_theta = np.stack([ct * cp, ct * sp, -st * np.ones_like(sp)], axis=-1)
-    e_phi = np.stack([-sp * np.ones_like(st), cp * np.ones_like(st),
-                      np.zeros((n_theta, n_phi))], axis=-1)
-    for arr in (theta, phi, nodes, weights, e_theta, e_phi):
+    for arr in (theta, phi, nodes, weights):
         arr.flags.writeable = False
-    return SphericalGrid(n_theta, n_phi, theta, phi, nodes, weights, e_theta, e_phi)
+    return SphericalGrid(n_theta, n_phi, theta, phi, nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +200,20 @@ class RadialField:
         return cls(grid, np.full((grid.n_theta, grid.n_phi), float(value)))
 
 
-def tangential_derivatives(grid, rho, order=2):
-    """Covariant gradient and Hessian of rho on S^2, orthonormal frame.
+def radial_jet(grid, rho, order=2):
+    """The 2-jet (rho, rho_1, rho_2, rho_;11, rho_;12, rho_;22) of rho on S^2
+    in the orthonormal frame, by stencils of the given order (2 or 4).
 
-    Returns (grad, hess) with grad[..., i] = (rho_theta, rho_phi/sin) and
-    hess the symmetric 2x2 covariant Hessian.  The mixed component is
-    computed as d_theta(rho_phi / sin theta) with odd cross-pole parity,
-    which keeps it second-order accurate up to the pole rows.  rho may be
-    real or complex.
+    rho_1 = rho_theta and rho_2 = rho_phi / sin theta; the rho_;ij are the
+    covariant Hessian.  The mixed component is d_theta(rho_2) with odd
+    cross-pole parity, which keeps it second-order accurate up to the pole
+    rows.  rho may be real or complex.
     """
-    st, ct = grid.sin_theta, grid.cos_theta
-    g1 = grid.d_theta(rho, order)
-    dphi = grid.d_phi(rho, order)
-    g2 = dphi / st
-    h11 = grid.d_thetatheta(rho, order)
-    h12 = grid.d_theta(g2, order, parity=-1.0)
-    h22 = grid.d_phiphi(rho, order) / st**2 + (ct / st) * g1
-    return np.stack([g1, g2], axis=-1), sym2(h11, h12, h22)
-
-
-def radial_jet(grid, rho):
-    """The 2-jet (rho, rho_1, rho_2, rho_;11, rho_;12, rho_;22) of
-    tangential_derivatives as separate arrays; real or complex rho."""
-    grad, hess = tangential_derivatives(grid, rho)
-    return rho, grad[..., 0], grad[..., 1], hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
+    st = grid.sin_theta
+    d1 = grid.d_theta(rho, order)
+    d2 = grid.d_phi(rho, order) / st
+    return (rho, d1, d2, grid.d_thetatheta(rho, order), grid.d_theta(d2, order, parity=-1.0),
+            grid.d_phiphi(rho, order) / st**2 + (grid.cos_theta / st) * d1)
 
 
 def radial_forms(jet):
@@ -258,8 +245,7 @@ class SurfaceGeometry:
 
     field: RadialField
     X: np.ndarray              # (nt, np, 3) positions
-    nu: np.ndarray             # (nt, np, 3) outward unit normals
-    u: np.ndarray              # (nt, np) support values <X, nu>
+    u: np.ndarray              # (nt, np) support values <X, normal>
     metric: np.ndarray         # (nt, np, 2, 2) induced metric, sphere frame
     principal: np.ndarray      # (nt, np, 2) principal curvatures, ascending
     grad_rho: np.ndarray       # (nt, np, 2)
@@ -274,10 +260,10 @@ class SurfaceGeometry:
 def radial_geometry(field):
     """All geometric quantities of the radial graph X = rho x.
 
-    Forms as in radial_forms; nu = (rho x - grad rho) / w.  Principal
-    curvatures are the eigenvalues of g^{-1/2} b g^{-1/2}; the round sphere
-    rho = r gives lambda = +1/r exactly (stencils annihilate constants),
-    which fixes the orientation convention.
+    Forms as in radial_forms.  Principal curvatures are the eigenvalues
+    of g^{-1/2} b g^{-1/2}; the round sphere rho = r gives lambda = +1/r
+    exactly (stencils annihilate constants), which fixes the orientation
+    convention.
     """
     grid, rho = field.grid, field.rho
     jet = radial_jet(grid, rho)
@@ -287,11 +273,9 @@ def radial_geometry(field):
         bad = np.argwhere(u <= 0.0)
         raise StarshapednessError(f"support function u <= 0 at node(s) {bad[:5].tolist()}")
     X = rho[..., None] * grid.nodes
-    grad_vec = grad[..., 0, None] * grid.e_theta + grad[..., 1, None] * grid.e_phi
-    nu = (X - grad_vec) / w[..., None]
     _, principal = shape_operator(metric, b)
-    geo = SurfaceGeometry(field, X, nu, u, metric, principal, grad, w, b)
-    for arr in (X, nu, u, metric, principal, grad, w, b):
+    geo = SurfaceGeometry(field, X, u, metric, principal, grad, w, b)
+    for arr in (X, u, metric, principal, grad, w, b):
         arr.flags.writeable = False
     return geo
 
@@ -304,7 +288,7 @@ def radial_geometry(field):
 class StructureResiduals:
     """Per-node residual norms of the discrete structure equations.
 
-    gauss:   | <Hess X, nu> + b |_F  per node (Gauss formula, normal part)
+    gauss:   | <Hess X, normal> + b |_F  per node (Gauss formula, normal part)
     support: | grad u - b g^{-1} <grad X, X> |  per node
     Derivatives of rho and u are re-evaluated with independent fourth-order
     stencils, so both residuals vanish to round-off on constant fields and
@@ -328,12 +312,12 @@ def field_norm(grid, values):
 def structure_equation_residuals(geom):
     grid = geom.grid
     rho = geom.field.rho
-    grad4, hess4 = tangential_derivatives(grid, rho, order=4)
+    jet4 = radial_jet(grid, rho, order=4)
     winv = 1.0 / geom.w
     # normal projection of the sphere-covariant Hessian of X, fourth order:
     # (rho rho_;ij - rho_i d_j - rho_j d_i - delta_ij rho^2) times 1/w
-    cross = grad4[..., :, None] * geom.grad_rho[..., None, :]     # rho_i d_j
-    proj = (rho[..., None, None] * hess4 - cross - np.swapaxes(cross, -1, -2)
+    cross = np.stack(jet4[1:3], axis=-1)[..., :, None] * geom.grad_rho[..., None, :]  # rho_i d_j
+    proj = (rho[..., None, None] * sym2(*jet4[3:]) - cross - np.swapaxes(cross, -1, -2)
             - np.eye(2) * (rho**2)[..., None, None]) * winv[..., None, None]
     r1 = proj + geom.b_form
     gauss = np.sqrt(np.sum(r1**2, axis=(-2, -1)))
@@ -367,8 +351,10 @@ def ellipsoid_radial_field(grid, a, b, c):
     if not all(math.isfinite(v) and v != 0.0 for v in (a, b, c)):
         raise ValueError(f"axes must be finite and nonzero, got {[a, b, c]}")
     x = grid.nodes
-    q = (x[..., 0] / a) ** 2 + (x[..., 1] / b) ** 2 + (x[..., 2] / c) ** 2
-    return RadialField(grid, q ** -0.5)
+    # an overflow leaves rho 0 and an underflow leaves it inf: RadialField refuses both
+    with np.errstate(over="ignore", divide="ignore"):
+        rho = ((x[..., 0] / a) ** 2 + (x[..., 1] / b) ** 2 + (x[..., 2] / c) ** 2) ** -0.5
+    return RadialField(grid, rho)
 
 
 def ellipsoid_principal_curvatures(points, a, b, c):
@@ -383,11 +369,11 @@ def ellipsoid_principal_curvatures(points, a, b, c):
     D = np.diag([1.0 / a**2, 1.0 / b**2, 1.0 / c**2])
     N = p @ D
     nrm = np.linalg.norm(N, axis=-1)
-    nu = N / nrm[..., None]
-    P = np.eye(3) - np.einsum("...i,...j->...ij", nu, nu)
+    normal = N / nrm[..., None]
+    P = np.eye(3) - np.einsum("...i,...j->...ij", normal, normal)
     M = P @ (D / nrm[..., None, None]) @ P
     eig = np.linalg.eigvalsh(M)
-    return eig[..., 1:]  # drop the zero eigenvalue along nu
+    return eig[..., 1:]  # drop the zero eigenvalue along the normal
 
 
 # ---------------------------------------------------------------------------

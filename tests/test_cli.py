@@ -472,7 +472,8 @@ def cap_graph(radius):
 SOLVE_DIGESTS = [
     ("solve-measure", {**TILTED_MEASURE, "grid": [8, 16]}, {
         "solution.csv": "927f62814572964a43f86f759702fb6741b95e7e1b231ddda9ef2bf32d46850e",
-        "surface.obj": "1a6e30a880ec4095e132ae9ad175a70f8cc66fe3d753de11c345c9602fb17356"}),
+        "surface.obj": "1a6e30a880ec4095e132ae9ad175a70f8cc66fe3d753de11c345c9602fb17356",
+        "report.json": "13e5ad50ec0adf43fd25b6a1aed966799cb63e2d48c57a8b808b29d3e3a5d52f"}),
     ("solve-graph", cap_graph(2.0), {
         "solution.csv": "e20b512122b665f10c4bd83add0c6c96bfb15b251a471bd0f37e862a3bb5fd9c"}),
 ]
@@ -485,6 +486,19 @@ def test_solver_payloads_are_pinned(tmp_path, mode, problem, digests):
     out = tmp_path / "out"
     assert main([mode, "--config", path, "--out", str(out), "--quiet"]) == 0
     assert {name: sha256_file(str(out / name)) for name in digests} == digests
+
+
+def test_step_underflow_report_is_pinned(tmp_path):
+    # one Newton step per corrector never converges past t = 0: the partial
+    # homotopy trace and the last rejected corrector are written byte for byte
+    path = write_config(tmp_path, minimal_measure(
+        grid=(8, 16), phi=TILTED_MEASURE["phi"], solver={"max_iter": 1}))
+    out = tmp_path / "out"
+    assert main(["solve-measure", "--config", path, "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"]["cause"] == "step_underflow"
+    assert sha256_file(str(out / "report.json")) == (
+        "ebafb64ea9fc2cc2473dacd0bee85f62f7bf00353d157e2d042b5dc48047c5cd")
 
 
 PARSE_FAULTS = [
@@ -839,6 +853,12 @@ CLI_FAULTS = [
     ("convergence-study", {"mode": "convergence-study",
                            "problem": {"kind": "ellipsoid-curvature", "grids": []}}, 1,
      "problem.grids must list at least one grid"),
+    # measure-problem invariants that were printed without their key
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1e308, 0, 0, 0], [1e308, 0, 0, 2]]),
+     1, "problem.phi: phi must be finite and positive"),
+    ("solve-measure", {**minimal_measure(grid=(8, 16)), "problem": {
+        **minimal_measure(grid=(8, 16))["problem"], "operator": {"kind": "sigma_k", "k": 3}}},
+     1, "problem.operator.k: operator order k=3 out of range"),
 ]
 
 
@@ -869,7 +889,8 @@ CLI_FAULTS = [
     "q_list-inf", "measure-p-neg-2", "alpha_list-empty", "q_list-empty", "pairs-empty",
     "mode-unknown",
     "config-not-object", "phi-int", "surface-torus", "measure-method-bfgs", "H-kind-table",
-    "boundary-kind-zero", "study-kind-unknown", "grids-empty"])
+    "boundary-kind-zero", "study-kind-unknown", "grids-empty", "measure-phi-overflow",
+    "measure-operator-k-3"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -878,6 +899,38 @@ def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code
         assert not out.exists()
     if match is not None:
         assert re.search(f"config error: .*{match}", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("mode, cfg", [
+    ("solve-measure", minimal_measure(grid=(8, 16), phi=[[1e308, 0, 0, 0], [1e308, 0, 0, 2]])),
+    ("convergence-study",
+     {"mode": "convergence-study", "problem": {"kind": "ellipsoid-curvature",
+                                               "grids": [[8, 16]], "ellipsoid": [1e-300, 1, 1]}}),
+    ("convergence-study",
+     {"mode": "convergence-study", "problem": {"kind": "ellipsoid-curvature", "grids": [[8, 16]],
+                                               "ellipsoid": [1e200, 1e200, 1e200]}}),
+], ids=["phi-overflow", "ellipsoid-axis-tiny", "ellipsoid-axes-huge"])
+def test_overflowing_inputs_report_only_the_config_error(tmp_path, capsys, recwarn, mode, cfg):
+    # an overflow that the finiteness check catches is no warning of its
+    # own; pytest diverts warnings from stderr, so they are read from recwarn
+    path = write_config(tmp_path, cfg)
+    assert main([mode, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert re.fullmatch(r"config error: problem\.\S+: [^\n]*\n", capsys.readouterr().err)
+    assert not [str(w.message) for w in recwarn]
+
+
+def test_overflowing_directions_are_inconclusive(tmp_path, recwarn):
+    # directions too large for the sides in floating point give non-finite
+    # margins, which are no failures of the bound
+    path = write_config(tmp_path, with_inequality(direction_scale=[-1e308, 1e308]))
+    out = tmp_path / "out"
+    assert main(["verify-inequalities", "--config", path, "--out", str(out), "--quiet"]) == 0
+    campaign, = json.loads((out / "summary.json").read_text())["campaigns"]
+    assert campaign["hard_failures"] == campaign["implication_violations"] == []
+    # 10 samples, each checked at the 4 default alphas
+    assert campaign["counts"] == {f"{kind}/inconclusive": 40
+                                  for kind in ("gll", "gll_sum3", "krylov")}
+    assert not [str(w.message) for w in recwarn]
 
 
 def test_hostile_spectrum_box_exits_as_a_config_error(tmp_path, capsys):

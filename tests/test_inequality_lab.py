@@ -353,7 +353,8 @@ def booked(alphas, margin, passed, inconclusive):
                     worst[(kind, alpha)] = m
                 if not ok and not inc:
                     hard.append((kind, alpha, i, m))
-            if passed[ia, i, 2] and not inconclusive[ia, i, 2] and not passed[ia, i, 0]:
+            if (passed[ia, i, 2] and not inconclusive[ia, i, 2]
+                    and not passed[ia, i, 0] and not inconclusive[ia, i, 0]):
                 implied.append((alpha, i))
     return counts, worst, hard, implied
 
@@ -420,6 +421,20 @@ def test_tally_matches_booking_loop_on_synthetic_tables():
                                      ("gll_sum3", 2.0, 3), ("krylov", 2.0, 3)]
     assert implied == [(0.5, 5), (1.0, 30)]
     assert counts[("krylov", "inconclusive")] == 3
+
+
+def test_tally_books_no_implication_on_an_inconclusive_gll_row():
+    # a NaN gll margin is not a pass, but neither is it a conclusive fail:
+    # under a conclusive convexity pass it is no implication violation
+    alphas = (1.0,)
+    margin = np.array([[[np.nan, 0.5, 0.5], [-np.inf, 0.5, 0.5], [-0.5, 0.5, 0.5]]])
+    passed = margin >= 0.0
+    inconclusive = ~np.isfinite(margin)
+    counts, worst, hard, implied = assert_tally_matches_oracle(
+        alphas, margin, passed, inconclusive)
+    assert counts[("gll", "inconclusive")] == 2 and counts[("gll", "fail")] == 1
+    assert [h[:3] for h in hard] == [("gll", 1.0, 2)]
+    assert implied == [(1.0, 2)]
 
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")

@@ -131,7 +131,7 @@ def round_sphere_case():
     grid = build_grid(8, 16)
     prob = MeasureProblem(OperatorSpec("sigma_k", k=2), 1.0, Poly3(((1.0, (0, 0, 0)),)), grid)
     return grid.stencil_neighbors(), np.full(grid.n_nodes, 1.2), measure_solver._jet_contract(
-        prob, prob.phi_values())
+        prob, prob.phi_vals)
 
 
 def graph_case():
@@ -180,7 +180,7 @@ def test_sphere_pattern_is_built_once_per_grid(monkeypatch):
     other = MeasureProblem(prob.op, prob.p, prob.phi, build_grid(8, 16))
     newton_solve(RadialField.constant(grid, 1.05), other)
     assert len(builds) == 1
-    phi_vals = prob.phi_values()
+    phi_vals = prob.phi_vals
     assert (measure_solver._jet_contract(prob, phi_vals).window
             is measure_solver._jet_contract(other, phi_vals).window)
 
@@ -218,7 +218,7 @@ def test_residual_only_calls_build_no_window(monkeypatch):
     graph = manufactured_problem(cap, rect_grid(9), 2, 0.5)
     graph_solver.graph_residual(manufactured_start(cap, graph.grid), graph)
     assert sphere_builds == graph_builds == []
-    fd_jacobian(field.rho.ravel(), measure_solver._jet_contract(prob, prob.phi_values()))
+    fd_jacobian(field.rho.ravel(), measure_solver._jet_contract(prob, prob.phi_vals))
     assert len(sphere_builds) == 1
 
 
@@ -231,7 +231,7 @@ def sphere_jacobian(n_theta):
     the n x 2n sphere at a smooth admissible non-round state."""
     grid = build_grid(n_theta, 2 * n_theta)
     prob = MeasureProblem(OperatorSpec("sigma_k", k=2), 1.0, TILT, grid)
-    phi_vals = prob.phi_values()
+    phi_vals = prob.phi_vals
     nd = grid.nodes
     x = (1.0 + 0.04 * nd[..., 0] - 0.03 * nd[..., 1] * nd[..., 2]).ravel()
     contract = measure_solver._jet_contract(prob, phi_vals)

@@ -188,7 +188,7 @@ def test_accepted_steps_decrease_residual_two_norm():
 def test_jacobian_matches_directional_differences():
     g = build_grid(8, 16)
     prob = make_problem(g, phi=PHI_TILT)
-    phi_vals = prob.phi_values()
+    phi_vals = prob.phi_vals
     rng = np.random.default_rng(4)
     # smooth random admissible state: low-order polynomial wiggles
     nd = g.nodes
@@ -315,6 +315,17 @@ def test_homotopy_inadmissible_prediction_falls_back_to_u_t(monkeypatch):
     assert any(s.predicted for s in ref_trace.steps)
 
 
+def test_homotopy_samples_phi_once_per_corrector(monkeypatch):
+    # the problem samples phi once; each corrector samples only its phi_t
+    calls = []
+    sample = Poly3.eval_unit_vectors
+    monkeypatch.setattr(Poly3, "eval_unit_vectors",
+                        lambda poly, x: calls.append(poly) or sample(poly, x))
+    _, trace = homotopy_solve(make_problem(build_grid(8, 16), phi=PHI_TILT))
+    assert len(trace.steps) > 1
+    assert len(calls) == 1 + len(trace.steps) + len(trace.rejections)
+
+
 def test_step_underflow_carries_last_accepted_state():
     # every corrector past t = 0 needs more than one Newton step
     g = build_grid(8, 16)
@@ -429,7 +440,7 @@ def test_trial_rho_not_positive_and_finite_is_vetoed(bad):
     prob = make_problem(g)
     x = np.ones(g.n_nodes)
     x[5] = bad
-    ev = _jet_contract(prob, prob.phi_values())(x)
+    ev = _jet_contract(prob, prob.phi_vals)(x)
     assert not ev.admissible
     assert np.all(ev.residual == 1e30)
     assert ev.cone_margin == ev.aux["u_min"] == -math.inf

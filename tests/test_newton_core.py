@@ -44,7 +44,7 @@ def sphere_case():
     g = build_grid(8, 16)
     prob = MeasureProblem(OperatorSpec("sigma_k", k=2), 1.0,
                           Poly3(((1.0, (0, 0, 0)), (0.2, (0, 0, 1)))), g)
-    phi_vals = prob.phi_values()
+    phi_vals = prob.phi_vals
     nd = g.nodes
     x = (1.0 + 0.04 * nd[..., 0] - 0.03 * nd[..., 1] * nd[..., 2]).ravel()
     contract = sphere_contract(prob, phi_vals)
