@@ -167,23 +167,31 @@ class GraphField:
 # pointwise shape
 
 
-def _graph_forms(Dg, D2g):
+def _graph_forms(p1, p2, h11, h12, h22):
     """w, metric I + Dg Dg^T and second fundamental form -D2g/w of a graph
-    (cap-positive convention); real or complex input."""
-    p1, p2 = Dg[..., 0], Dg[..., 1]
+    (cap-positive convention) from Dg = (p1, p2) and the entries h_ij of
+    D2g, the forms as entry triples (f11, f12, f22) for pencil_sigmas; real
+    or complex input."""
     w = np.sqrt(1.0 + p1**2 + p2**2)
-    return w, sym2(1.0 + p1**2, p1 * p2, 1.0 + p2**2), -D2g / w[..., None, None]
+    return w, (1.0 + p1**2, p1 * p2, 1.0 + p2**2), (-h11 / w, -h12 / w, -h22 / w)
+
+
+def _entries(Dg, D2g):
+    """(p1, p2, h11, h12, h22) of derivatives stacked as (..., 2) and (..., 2, 2)."""
+    return Dg[..., 0], Dg[..., 1], D2g[..., 0, 0], D2g[..., 0, 1], D2g[..., 1, 1]
 
 
 def graph_shape(Dg, D2g):
     """Principal curvatures and |A| of a graph point from its derivatives.
 
     Dg has shape (..., 2), D2g shape (..., 2, 2).  Curvatures are the
-    shape_operator eigenvalues of the forms of _graph_forms.  Reporting
-    only: the solve works on pencil_sigmas of the same forms.
+    shape_operator eigenvalues of the forms of _graph_forms, stacked to
+    (..., 2, 2).  Reporting only: the solve works on pencil_sigmas of the
+    same forms.
     """
-    _, G, b = _graph_forms(np.asarray(Dg, dtype=float), np.asarray(D2g, dtype=float))
-    _, lam = shape_operator(G, b)
+    _, G, b = _graph_forms(*_entries(np.asarray(Dg, dtype=float),
+                                     np.asarray(D2g, dtype=float)))
+    _, lam = shape_operator(sym2(*G), sym2(*b))
     return lam, np.sqrt(np.sum(lam**2, axis=-1))
 
 
@@ -215,20 +223,24 @@ def _interior_jet(x, prob):
 def _evaluate_jet(jet, prob):
     """Residual plus admissibility data, node by node from the
     _interior_jet.  A complex jet (complex step) keeps the residual
-    analytic; admissibility and aux read real parts.  Every height of the
-    full grid reaches some jet, so a non-finite one shows there."""
-    if not all(np.all(np.isfinite(j)) for j in jet):
-        return Evaluation(np.full(jet[0].size, 1e30), False, np.full(jet[0].shape, -math.inf), {})
-    g, gx, gy, gxx, gxy, gyy = jet
-    w, G, b = _graph_forms(np.stack([gx, gy], axis=-1), sym2(gxx, gxy, gyy))
-    sig = pencil_sigmas(G, b)
-    margin = cone_margin(s.real for s in sig[1:prob.k + 1])
-    # mean curvature (k = 1) is elliptic on every graph, so the cone gate
-    # only applies to the genuinely fully nonlinear orders
-    admissible = float(margin.min()) > 0.0 if prob.k >= 2 else True
-    H_int = prob.H.interior(prob.grid, g)
-    res = sig[prob.k] - H_int * w ** (-prob.q)
-    aux = {"H_min": float(H_int.real.min()), "res_norm2": float(np.linalg.norm(res.real))}
+    analytic; admissibility and aux read real parts.  Only the heights g
+    (the unknowns; GraphProblem checks the Dirichlet ring) are checked
+    finite: finite heights that overflow in the jets give a non-finite
+    residual, with no warning, which damped_newton refuses at the start
+    and its line search rejects."""
+    g = jet[0]
+    if not np.all(np.isfinite(g)):
+        return Evaluation(np.full(g.size, 1e30), False, np.full(g.shape, -math.inf), {})
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, G, b = _graph_forms(*jet[1:])
+        sig = pencil_sigmas(G, b)
+        margin = cone_margin(s.real for s in sig[1:prob.k + 1])
+        # mean curvature (k = 1) is elliptic on every graph, so the cone gate
+        # only applies to the genuinely fully nonlinear orders
+        admissible = float(margin.min()) > 0.0 if prob.k >= 2 else True
+        H_int = prob.H.interior(prob.grid, g)
+        res = sig[prob.k] - H_int * w ** (-prob.q)
+        aux = {"H_min": float(H_int.real.min()), "res_norm2": float(np.linalg.norm(res.real))}
     return Evaluation(res.ravel(), admissible, margin, aux)
 
 
@@ -306,15 +318,23 @@ def manufactured_H(solution, k, q, grid):
 
     With this H the given surface solves the equation exactly, so the solver
     can be verified against it.  Raises when the surface is inadmissible
-    anywhere on the grid, or not finite (a NaN margin fails the > 0 test).
+    anywhere on the grid, or not finite (a NaN margin fails the > 0 test),
+    and when H itself is not finite (w^q overflows); computed under
+    np.errstate, so neither prints a numpy warning first.
     """
     _check_order(k)
     X1, X2 = grid.meshes()
-    w, G, b = _graph_forms(*solution.derivatives(X1, X2))
-    sig = pencil_sigmas(G, b)
-    if not np.all(cone_margin(sig[1:k + 1]) > 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, G, b = _graph_forms(*_entries(*solution.derivatives(X1, X2)))
+        sig = pencil_sigmas(G, b)
+        inside = np.all(cone_margin(sig[1:k + 1]) > 0.0)
+        H = sig[k] * w**q
+    if not inside:
         raise ConstructionError(f"manufactured surface leaves Gamma_{k} on the domain")
-    return sig[k] * w**q
+    if not np.all(np.isfinite(H)):
+        raise ConstructionError(f"manufactured H = sigma_{k} w^q is not finite on the "
+                                f"domain (q = {q!r})")
+    return H
 
 
 def exact_field(solution, grid):

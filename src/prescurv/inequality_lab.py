@@ -320,13 +320,14 @@ class IvochkinaReport:
 
 def check_ivochkina_args(k, q, p_box, grid, n=2):
     """ValueError unless 1 <= k <= n, q is finite, p_box is finite and > 0
-    and the scan has at least 16 points per axis."""
+    with n p_box^2 (the corners' max|p|^2) finite, and the scan has at
+    least 16 points per axis."""
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
-    if not (p_box > 0 and math.isfinite(p_box)):
-        raise ValueError(f"p_box must be finite and > 0, got {p_box!r}")
+    if not (p_box > 0 and math.isfinite(n * p_box * p_box)):
+        raise ValueError(f"p_box must be > 0 with n p_box^2 finite, got {p_box!r}")
     if grid < 16:
         raise ValueError("need at least 16 scan points per axis")
 

@@ -1,4 +1,6 @@
-"""Closed-form helpers for stacks of symmetric 2x2 matrices."""
+"""Closed-form helpers for symmetric 2x2 matrices: pencil_sigmas reads a
+pair of forms as entry triples (a11, a12, a22) of equal-shape arrays, the
+rest read stacks of shape (..., 2, 2), which sym2 builds from triples."""
 
 import numpy as np
 
@@ -11,14 +13,16 @@ def sym2(a, b, d):
 
 
 def pencil_sigmas(g, b):
-    """(1, tr(g^{-1} b), det b / det g) for stacked 2x2 pairs, indexed by l.
+    """(1, tr(g^{-1} b), det b / det g), indexed by l, for forms given as
+    entry triples g = (g11, g12, g22) and b = (b11, b12, b22).
 
     With g a metric and b a second fundamental form these are sigma_0..2
     of the principal curvatures.  Rational in the entries and free of
-    eigenvalues, so real and complex input alike (complex-step safe).
+    eigenvalues, so real and complex input alike (complex-step safe), and
+    an entry may be real while another is complex.
     """
-    g11, g12, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    b11, b12, b22 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
+    g11, g12, g22 = g
+    b11, b12, b22 = b
     det_g = g11 * g22 - g12 * g12
     return (1.0, (g22 * b11 - 2.0 * g12 * b12 + g11 * b22) / det_g,
             (b11 * b22 - b12 * b12) / det_g)

@@ -154,20 +154,22 @@ def initial_sphere_radius(op, p, n=SURFACE_DIM):
 def _evaluate_jet(jet, prob, phi_vals):
     """Residual plus admissibility data, node by node from the radial_jet;
     never raises inside the solver.  A complex jet (complex step) keeps the
-    residual analytic; admissibility and aux read real parts."""
+    residual analytic; admissibility and aux read real parts.  Overflow
+    and division by zero raise no warning: a non-finite residual entry
+    reads 1e30."""
     rho = jet[0].real
     if np.any(rho <= 0.0) or not np.all(np.isfinite(jet[0])):
         return Evaluation(np.full(rho.size, 1e30), False, np.full(rho.shape, -math.inf),
                           {"u_min": -math.inf})
-    _, u, metric, b = radial_forms(jet)
-    sig = pencil_sigmas(metric, b)
-    margin = cone_margin(s.real for s in sig[1:prob.op.k + 1])
-    u_min = float(u.real.min())
-    admissible = float(margin.min()) > 0.0 and u_min > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, u, metric, b = radial_forms(jet)
+        sig = pencil_sigmas(metric, b)
+        margin = cone_margin(s.real for s in sig[1:prob.op.k + 1])
+        u_min = float(u.real.min())
+        admissible = float(margin.min()) > 0.0 and u_min > 0.0
         res = prob.op.value_on_sigmas(sig) - u**prob.p * phi_vals
-    res = np.where(np.isfinite(res), res, 1e30)
-    aux = {"u_min": u_min, "res_norm2": float(np.linalg.norm(res.real))}
+        res = np.where(np.isfinite(res), res, 1e30)
+        aux = {"u_min": u_min, "res_norm2": float(np.linalg.norm(res.real))}
     return Evaluation(res.ravel(), admissible, margin, aux)
 
 

@@ -381,8 +381,9 @@ def damped_newton(x0, eval_fn, contract, tol, max_iter):
     eval_fn(x) -> Evaluation is the JetContract contract or a wrapper of
     it; J is contract's fd_jacobian.  Returns (x, SolveReport); raises
     NonconvergenceError with a SolveFailure (last iterate, partial report)
-    whose cause is "inadmissible_start" (after the one start evaluation),
-    "singular", "line_search" or "max_iter".
+    whose cause is "inadmissible_start" (after the one start evaluation;
+    a start residual with a non-finite max norm is refused before it is
+    recorded), "singular", "line_search" or "max_iter".
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport()
@@ -393,6 +394,8 @@ def damped_newton(x0, eval_fn, contract, tol, max_iter):
 
     ev = eval_fn(x)
     rnorm = float(np.abs(ev.residual).max())
+    if not math.isfinite(rnorm):
+        raise fail("inadmissible_start", "start residual is not finite")
     report.residual_history.append(rnorm)
     report.cone_margin_history.append(ev.cone_margin)
     report.aux_history.append(ev.aux)

@@ -220,7 +220,7 @@ def radial_forms(jet):
     """Fundamental forms of the radial graph X = rho x from its radial_jet.
 
     Returns (w, u, metric, b) in the orthonormal sphere frame, outward
-    normal:
+    normal, the forms as entry triples (f11, f12, f22) for pencil_sigmas:
         w     = sqrt(rho^2 + |grad rho|^2)
         u     = rho^2 / w
         g_ij  = rho^2 delta_ij + rho_i rho_j
@@ -231,11 +231,11 @@ def radial_forms(jet):
     rho, d1, d2, h11, h12, h22 = jet
     w = np.sqrt(rho**2 + d1**2 + d2**2)
     u = rho**2 / w
-    metric = sym2(rho**2 + d1**2, d1 * d2, rho**2 + d2**2)
+    metric = (rho**2 + d1**2, d1 * d2, rho**2 + d2**2)
     winv = 1.0 / w
-    b = sym2((rho**2 + 2 * d1 * d1 - rho * h11) * winv,
-             (2 * d1 * d2 - rho * h12) * winv,
-             (rho**2 + 2 * d2 * d2 - rho * h22) * winv)
+    b = ((rho**2 + 2 * d1 * d1 - rho * h11) * winv,
+         (2 * d1 * d2 - rho * h12) * winv,
+         (rho**2 + 2 * d2 * d2 - rho * h22) * winv)
     return w, u, metric, b
 
 
@@ -260,14 +260,15 @@ class SurfaceGeometry:
 def radial_geometry(field):
     """All geometric quantities of the radial graph X = rho x.
 
-    Forms as in radial_forms.  Principal curvatures are the eigenvalues
-    of g^{-1/2} b g^{-1/2}; the round sphere rho = r gives lambda = +1/r
-    exactly (stencils annihilate constants), which fixes the orientation
-    convention.
+    Forms as in radial_forms, stacked to (..., 2, 2).  Principal
+    curvatures are the eigenvalues of g^{-1/2} b g^{-1/2}; the round sphere
+    rho = r gives lambda = +1/r exactly (stencils annihilate constants),
+    which fixes the orientation convention.
     """
     grid, rho = field.grid, field.rho
     jet = radial_jet(grid, rho)
     w, u, metric, b = radial_forms(jet)
+    metric, b = sym2(*metric), sym2(*b)
     grad = np.stack(jet[1:3], axis=-1)
     if np.any(u <= 0.0):
         bad = np.argwhere(u <= 0.0)
@@ -347,14 +348,19 @@ def structure_equation_residuals(geom):
 
 def ellipsoid_radial_field(grid, a, b, c):
     """Radial function of the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1;
-    ValueError unless the axes a, b, c are finite and nonzero."""
+    ValueError unless the axes a, b, c are finite and nonzero and each
+    1 / a^2 (ellipsoid_principal_curvatures' entries) is finite and nonzero."""
     if not all(math.isfinite(v) and v != 0.0 for v in (a, b, c)):
         raise ValueError(f"axes must be finite and nonzero, got {[a, b, c]}")
     x = grid.nodes
     # an overflow leaves rho 0 and an underflow leaves it inf: RadialField refuses both
     with np.errstate(over="ignore", divide="ignore"):
         rho = ((x[..., 0] / a) ** 2 + (x[..., 1] / b) ** 2 + (x[..., 2] / c) ** 2) ** -0.5
-    return RadialField(grid, rho)
+        inv_sq = 1.0 / np.square([a, b, c])
+    field = RadialField(grid, rho)   # first, so a tiny axis still fails as rho 0
+    if not np.all(np.isfinite(inv_sq) & (inv_sq != 0.0)):
+        raise ValueError(f"axes must have finite nonzero 1/a^2, got {[a, b, c]}")
+    return field
 
 
 def ellipsoid_principal_curvatures(points, a, b, c):

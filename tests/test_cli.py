@@ -859,6 +859,22 @@ CLI_FAULTS = [
     ("solve-measure", {**minimal_measure(grid=(8, 16)), "problem": {
         **minimal_measure(grid=(8, 16))["problem"], "operator": {"kind": "sigma_k", "k": 3}}},
      1, "problem.operator.k: operator order k=3 out of range"),
+    # values that overflow in floating point: a manufactured H = sigma_k w^q
+    # of inf used to solve nothing and exit 0, a huge p_box or ellipsoid axis
+    # to end in an OverflowError traceback
+    ("solve-graph", {"mode": "solve-graph", "problem": {**cap_graph(2.0), "q": 1e308}}, 1,
+     r"problem.H.surface: manufactured H = sigma_2 w\^q is not finite"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "graph-bound-probe", "grids": [[9, 9]], "q_list": [1e300]}},
+     1, r"problem.radius: manufactured H = sigma_2 w\^q is not finite"),
+    ("verify-inequalities",
+     {"mode": "verify-inequalities", "problem": with_ivochkina(p_box=1e300)},
+     1, r"problem.ivochkina\[0\]: p_box must be > 0 with n p_box\^2 finite"),
+    ("convergence-study",
+     {"mode": "convergence-study",
+      "problem": {"kind": "ellipsoid-curvature", "grids": [[8, 16]], "ellipsoid": [1e200, 1, 1]}},
+     1, r"problem.ellipsoid: axes must have finite nonzero 1/a\^2"),
 ]
 
 
@@ -890,7 +906,8 @@ CLI_FAULTS = [
     "mode-unknown",
     "config-not-object", "phi-int", "surface-torus", "measure-method-bfgs", "H-kind-table",
     "boundary-kind-zero", "study-kind-unknown", "grids-empty", "measure-phi-overflow",
-    "measure-operator-k-3"])
+    "measure-operator-k-3", "graph-H-overflow", "probe-H-overflow", "ivochkina-p_box-overflow",
+    "ellipsoid-axis-square-overflow"])
 def test_faulty_configs_exit_without_traceback(tmp_path, capsys, mode, cfg, code, match):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -916,6 +933,25 @@ def test_overflowing_inputs_report_only_the_config_error(tmp_path, capsys, recwa
     path = write_config(tmp_path, cfg)
     assert main([mode, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert re.fullmatch(r"config error: problem\.\S+: [^\n]*\n", capsys.readouterr().err)
+    assert not [str(w.message) for w in recwarn]
+
+
+def test_overflowing_start_fails_with_a_strict_json_report(tmp_path, capsys, recwarn):
+    # finite start heights whose derivatives overflow give a non-finite start
+    # residual: refused before it is recorded, so report.json holds no NaN
+    path = write_config(tmp_path, {"mode": "solve-graph", "problem": cap_graph(2.0),
+                                   "solver": {"perturb_start": 1e300}})
+    out = tmp_path / "out"
+    assert main(["solve-graph", "--config", path, "--out", str(out), "--quiet"]) == 2
+
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["failure"]["cause"] == "inadmissible_start"
+    assert report["newton"]["residual_history"] == []
+    assert report["newton"]["message"] == "start residual is not finite"
+    assert "RuntimeWarning" not in capsys.readouterr().err
     assert not [str(w.message) for w in recwarn]
 
 

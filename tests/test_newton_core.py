@@ -229,6 +229,22 @@ def test_inadmissible_start_raises_cone_violation():
     assert calls == 1
 
 
+def test_nonfinite_start_residual_is_refused_unrecorded():
+    # NaN > tol is false, so a NaN start norm used to end the solve as converged
+    x, eval_fn, contract = graph_case()
+
+    def nan_start(v):
+        ev = eval_fn(v)
+        return Evaluation(np.full_like(ev.residual, math.nan), True, ev.margin, ev.aux)
+
+    with pytest.raises(NonconvergenceError) as info:
+        damped_newton(x, nan_start, contract, tol=1e-12, max_iter=20)
+    failure = info.value.diagnostics
+    assert failure.cause == "inadmissible_start"
+    assert failure.report.residual_history == []
+    assert not failure.report.converged
+
+
 def test_vetoed_trials_fail_the_line_search():
     # the start is admissible and every trial is vetoed: the fresh Newton
     # step is halved MAX_BACKTRACKS times, then the solve fails at x0
