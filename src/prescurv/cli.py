@@ -538,8 +538,7 @@ def _run_measure(run, out_dir, quiet, echo=None):
     return exit_code
 
 
-def _graph_solution_csv(field, path):
-    lam, A = full_grid_shape(field)
+def _graph_solution_csv(field, lam, A, path):
     write_csv(path, ["x1", "x2", "g", "lambda1", "lambda2", "A_norm"],
               [(*field.grid.meshes(), field.g, lam[..., 0], lam[..., 1], A)])
 
@@ -555,10 +554,11 @@ def _run_graph(run, out_dir, quiet, echo=None):
         exit_code = EXIT_OK
         payload["newton"] = {**_newton_block(report),
                              "min_cone_margin": min(report.cone_margin_history)}
-        probe = curvature_bound_probe(field, run.problem)
+        lam, A = full_grid_shape(field)
+        probe = curvature_bound_probe(A, run.problem)
         payload["probe"] = vars(probe)
         write_json(os.path.join(out_dir, "probe.json"), vars(probe))
-        _graph_solution_csv(field, os.path.join(out_dir, "solution.csv"))
+        _graph_solution_csv(field, lam, A, os.path.join(out_dir, "solution.csv"))
         if run.surface is not None:
             payload["manufactured_error_max"] = float(
                 np.abs(field.g - exact_field(run.surface, field.grid).g).max())

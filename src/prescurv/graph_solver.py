@@ -432,10 +432,10 @@ class CurvatureBoundProbe:
     grid_shape: tuple
 
 
-def curvature_bound_probe(field, prob):
-    """sup|A| (full_grid_shape) over interior and boundary nodes and their bound ratio."""
+def curvature_bound_probe(A, prob):
+    """sup|A| over interior and boundary nodes and their bound ratio, from
+    |A| at every node of prob.grid (full_grid_shape)."""
     grid = prob.grid
-    _, A = full_grid_shape(field)
     mask = grid.boundary_mask()
     sup_int = float(A[~mask].max())
     sup_bnd = float(A[mask].max())
@@ -469,7 +469,7 @@ def bound_probe_row(prob, start, tol=1e-9, max_iter=40):
         sol, _ = dirichlet_newton_solve(start, prob, tol=tol, max_iter=max_iter)
     except NonconvergenceError:
         return CampaignRow(prob.q, grid.nx, grid.ny, math.nan, math.nan, math.nan, False)
-    probe = curvature_bound_probe(sol, prob)
+    probe = curvature_bound_probe(full_grid_shape(sol)[1], prob)
     return CampaignRow(prob.q, grid.nx, grid.ny, probe.sup_interior_A,
                        probe.sup_boundary_A, probe.ratio, True)
 

@@ -398,7 +398,9 @@ class CampaignSummary:
 
     lhs, rhs, margin, passed and inconclusive have shape (n_alpha, S, 3),
     the last axis in KINDS order; this is also the CSV row order.  krylov
-    rows carry rhs 0 and lhs minus the second derivative.  A sample's rows
+    rows carry rhs 0 and lhs minus the second derivative; the gll and
+    gll_sum3 lhs do not depend on alpha, so write_campaign_csv formats them
+    from the first alpha's.  A sample's rows
     share lam (S, n) and B (S, n, n), the first direction drawn; B owns its
     data, so the summary does not keep the other two directions alive.
     """
@@ -461,19 +463,29 @@ def write_campaign_csv(summaries, cfg, path):
               + [f"lambda_{i + 1}" for i in range(width)]
               + [f"B_{i + 1}{j + 1}" for i in range(width) for j in range(i, width)])
 
+    def cells(columns):
+        """A table's rows as strings without their newlines."""
+        return "".join(format_rows(columns)).split("\n")[:-1]
+
     def tables():
         for s in summaries:
             n, k, count = s.cfg.n, s.cfg.k, len(s.lam)
             # a sample's lambda/B cells as one cell, formatted once for its rows
-            blocks = format_rows([s.lam[:, i] if i < n else [""] * count for i in range(width)]
-                                 + [s.B[:, i, j] if j < n else [""] * count
-                                    for i in range(width) for j in range(i, width)])
-            blocks = [b for b in [line[:-1] for line in blocks] for _ in KINDS]
-            index = np.arange(count).repeat(len(KINDS))
-            checks = (s.lhs, s.rhs, s.margin, s.passed, s.inconclusive)
+            blocks = cells([s.lam[:, i] if i < n else [""] * count for i in range(width)]
+                           + [s.B[:, i, j] if j < n else [""] * count
+                              for i in range(width) for j in range(i, width)])
+            blocks = [b for b in blocks for _ in KINDS]
+            # the seed_index,lhs cells of the gll and gll_sum3 rows hold at every
+            # alpha, so they too are formatted once; krylov's -kv is per alpha
+            index = np.arange(count)
+            fixed = [None] * (len(KINDS) * count)
+            fixed[0::3] = cells([index, s.lhs[0, :, 0]])
+            fixed[1::3] = cells([index, s.lhs[0, :, 1]])
+            checks = (s.rhs, s.margin, s.passed, s.inconclusive)
             for ia, alpha in enumerate(s.cfg.alpha_list):
-                heads = [h[:-1] for h in format_rows([KINDS] + [[v] * len(KINDS)
-                                                              for v in (n, k, alpha)])]
-                yield [heads * count, index, *(c[ia] for c in checks), blocks]
+                heads = cells([KINDS] + [[v] * len(KINDS) for v in (n, k, alpha)])
+                index_lhs = fixed.copy()
+                index_lhs[2::3] = cells([index, s.lhs[ia, :, 2]])
+                yield [heads * count, index_lhs, *(c[ia] for c in checks), blocks]
 
     write_csv(path, header, tables())

@@ -78,7 +78,7 @@ class Evaluation:
 
     def outside_cone(self, k, offset=0):
         """ConeViolationError naming the nodes outside Gamma_k, indices plus offset."""
-        bad = np.argwhere(self.margin <= 0.0) + offset
+        bad = np.argwhere(~(self.margin > 0.0)) + offset     # NaN margins too
         return ConeViolationError(f"spectrum outside Gamma_{k} at {len(bad)} node(s), "
                                   f"first {bad[:5].tolist()}", nodes=bad.tolist())
 

@@ -2,9 +2,11 @@
 
 Payload files (CSV/OBJ/JSON) never contain timestamps, so identical config
 and seed reproduce them byte for byte; wall-clock data lives only in the
-manifest.  Every CSV and OBJ line is formatted here (format_rows), floats
-at 17 significant digits; JSON floats use Python's shortest round-trip
-representation, which is equally bit-faithful on reload.
+manifest.  Every CSV and OBJ row is formatted here (format_rows), floats
+at 17 significant digits, by one '%' per block of up to _BLOCK rows; the
+writers hand each block to the file whole.  JSON floats use Python's
+shortest round-trip representation, which is equally bit-faithful on
+reload.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-_BLOCK = 256       # rows of a table whose cells are Python objects at once
+_BLOCK = 256       # rows of a table formatted, and held as Python objects, at once
 
 
 def _code(t):
@@ -41,16 +43,19 @@ def _code(t):
 
 
 def format_rows(columns, sep=","):
-    """The lines, newline-ended, of a table of equal-length columns (numpy
-    arrays, read flat, or sequences of scalars), lazily; ValueError on a
-    short column, raised by the call itself, before any line.  One '%'
-    template serves the table; a column of cells of several codes goes
-    cell by cell.  The lines are made _BLOCK rows at a time, so only one
-    block's cells are ever Python objects, however long the table."""
+    """The rows, newline-ended, of a table of equal-length columns (numpy
+    arrays, read flat, or sequences of scalars), lazily, as strings of up
+    to _BLOCK whole rows; ValueError on a short column, raised by the call
+    itself, before any row.  A block is one '%' of the table's row template
+    repeated over its rows, on the block's cells laid out row-major; a
+    column of cells of several codes goes cell by cell.  Only one block's
+    cells are ever Python objects, however long the table."""
     cols, codes = [], []
     for col in columns:
         if isinstance(col, np.ndarray):     # an array's cells share one type
             col = col.reshape(-1)           # read flat: a view where the strides allow
+            if col.dtype == bool:
+                col = col.view(np.uint8)    # the same 0/1, from a cheaper %d of an int
             kinds = {_code(type(v)) for v in col[:1].tolist()}
         else:
             kinds = {_code(t) for t in set(map(type, col))}
@@ -58,6 +63,7 @@ def format_rows(columns, sep=","):
         codes.append(kinds.pop() if len(kinds) == 1 else None)     # None: cell by cell
     if len({len(col) for col in cols}) > 1:
         raise ValueError(f"columns of unequal length {[len(col) for col in cols]}")
+    width, count = len(cols), len(cols[0]) if cols else 0
     template = sep.join(code or "%s" for code in codes) + "\n"
 
     def block(col, code, lo):
@@ -65,12 +71,20 @@ def format_rows(columns, sep=","):
         cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
         return cells if code else [_code(type(v)) % v for v in cells]
 
-    return (template % row for lo in range(0, len(cols[0]) if cols else 0, _BLOCK)
-            for row in zip(*(block(col, code, lo) for col, code in zip(cols, codes))))
+    def blocks():
+        for lo in range(0, count, _BLOCK):
+            rows = min(_BLOCK, count - lo)
+            cells = [None] * (rows * width)
+            for j, (col, code) in enumerate(zip(cols, codes)):
+                cells[j::width] = block(col, code, lo)
+            yield template * rows % tuple(cells)
+
+    return blocks()
 
 
 def write_csv(path, header, tables):
-    """The header, then the rows of each table (see format_rows) in turn."""
+    """The header, then the rows of each table (see format_rows) in turn,
+    each block of rows written whole."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         # a table is let go once written, not held while the next is built

@@ -302,6 +302,16 @@ def test_campaign_csv_digest_is_pinned(tmp_path):
         "5b91178381d24249c16f5b829ed6fa32bb6f62ec1d76b4286eaa45f1d89a30c0")
 
 
+def test_gll_lhs_is_the_same_at_every_alpha():
+    # write_campaign_csv formats the gll and gll_sum3 lhs cells once, from
+    # the first alpha's, and only krylov's per alpha
+    cfg = SampleConfig(n=4, k=2, alpha_list=(0.25, 1.0, 3.0), sample_count=30, seed=11)
+    lhs = run_campaign(cfg).lhs
+    assert np.array_equal(lhs[:, :, :2], np.broadcast_to(lhs[:1, :, :2], lhs[:, :, :2].shape),
+                          equal_nan=True)
+    assert not np.array_equal(lhs[0, :, 2], lhs[1, :, 2])
+
+
 def test_campaign_counts_structure():
     cfg = SampleConfig(n=2, k=2, sample_count=50, seed=9, alpha_list=(0.5, 2.0))
     s = run_campaign(cfg)

@@ -245,6 +245,14 @@ def test_nonfinite_start_residual_is_refused_unrecorded():
     assert not failure.report.converged
 
 
+def test_outside_cone_names_nan_margin_nodes():
+    # a NaN margin is not > 0, so its node is outside the cone too
+    ev = Evaluation(np.zeros(3), False, np.array([1.0, np.nan, -1.0]), {})
+    err = ev.outside_cone(2, offset=10)
+    assert err.nodes == [[11], [12]]
+    assert "at 2 node(s), first [[11], [12]]" in str(err)
+
+
 def test_vetoed_trials_fail_the_line_search():
     # the start is admissible and every trial is vetoed: the fresh Newton
     # step is halved MAX_BACKTRACKS times, then the solve fails at x0

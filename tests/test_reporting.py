@@ -1,3 +1,4 @@
+import io
 import math
 import pathlib
 import tracemalloc
@@ -30,6 +31,11 @@ def per_cell_table(columns, sep=","):
     return "".join(per_cell_row(r, sep) for r in rows)
 
 
+def rows_of(columns, sep=","):
+    """format_rows' output as its rows, newline-ended."""
+    return "".join(format_rows(columns, sep)).splitlines(keepends=True)
+
+
 def test_write_csv_matches_per_cell_formatter(tmp_path):
     # list columns holding numpy scalars: np.float64 is a float, so 17
     # digits; np.bool_ and np.int64 are not bool or float, so str()
@@ -45,22 +51,22 @@ def test_write_csv_matches_per_cell_formatter(tmp_path):
     path = tmp_path / "mixed.csv"
     write_csv(path, ["a", "b"], [columns])
     assert path.read_text() == "a,b\n" + per_cell_table(columns)
-    assert [line.split(",")[:3] for line in format_rows(columns)] == [
+    assert [line.split(",")[:3] for line in rows_of(columns)] == [
         ["1", "0.10000000000000001", "-3"], ["0", "-inf", "0"], ["True", "-0", "12345678901234567"]]
 
 
 def test_mixed_column_is_formatted_cell_by_cell():
     # the convergence study's difference column opens with "n/a"
     columns = [[8, 16, 32], ["n/a", 0.015, 0.0037], [True, 1, 2.0]]
-    assert list(format_rows(columns)) == ["8,n/a,1\n", "16,0.014999999999999999,1\n",
-                                          "32,0.0037000000000000002,2\n"]
+    assert rows_of(columns) == ["8,n/a,1\n", "16,0.014999999999999999,1\n",
+                                "32,0.0037000000000000002,2\n"]
     assert "".join(format_rows(columns)) == per_cell_table(columns)
 
 
 def test_array_columns_are_read_flat_in_their_types():
     columns = [np.array([[0.5, -0.0], [math.nan, 2.0]]), np.array([[True, False], [False, True]]),
                np.arange(4).reshape(2, 2)]
-    lines = list(format_rows(columns, sep=" "))
+    lines = rows_of(columns, sep=" ")
     assert lines == ["0.5 1 0\n", "-0 0 1\n", "nan 0 2\n", "2 1 3\n"]
     assert "".join(lines) == per_cell_table(columns, sep=" ")
 
@@ -94,9 +100,49 @@ def test_blocks_of_rows_match_the_per_cell_formatter(rows):
     mixed[min(_BLOCK + 1, rows - 1)] = "n/a"
     columns = [np.arange(rows), rng.standard_normal((rows, 1)) * 1e3, rng.random(rows) < 0.5,
                [f"r{i}" for i in range(rows)], mixed, rng.standard_normal(2 * rows)[::2]]
-    lines = list(format_rows(columns))
+    lines = rows_of(columns)
     assert len(lines) == rows
     assert "".join(lines) == per_cell_table(columns)
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 3])
+def test_each_block_is_whole_rows(rows):
+    # every string is whole newline-ended rows, _BLOCK of them but the last
+    columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows), [f"r{i}" for i in range(rows)]]
+    blocks = list(format_rows(columns))
+    assert [b.count("\n") for b in blocks] == [_BLOCK] * (rows // _BLOCK) + (
+        [rows % _BLOCK] if rows % _BLOCK else [])
+    assert all(b.endswith("\n") and b.splitlines(keepends=True) == rows_of(
+        [c[lo:lo + _BLOCK] for c in columns]) for b, lo in zip(blocks, range(0, rows, _BLOCK)))
+    assert "".join(blocks) == per_cell_table(columns)
+
+
+def test_bool_array_columns_write_0_and_1(tmp_path):
+    # contiguous, strided and two-dimensional numpy bool columns
+    flags = np.array([True, False, False, True, True, False])
+    columns = [flags, flags[::-1], flags.reshape(3, 2)[:, ::-1], np.arange(6)]
+    assert rows_of(columns) == ["1,0,0,0\n", "0,1,1,1\n", "0,1,1,2\n",
+                                "1,0,0,3\n", "1,0,0,4\n", "0,1,1,5\n"]
+    path = tmp_path / "flags.csv"
+    write_csv(path, ["p", "q", "r", "i"], [columns])
+    assert path.read_text() == "p,q,r,i\n" + per_cell_table(columns)
+
+
+def test_write_csv_writes_each_block_whole(tmp_path, monkeypatch):
+    # one write for the header and one per block: blocks are never split
+    # into lines on their way to the file
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            writes.append(s)
+            return super().write(s)
+
+    monkeypatch.setattr(reporting, "open", lambda path, mode: Recorder(), raising=False)
+    columns = [np.arange(2 * _BLOCK + 3), np.ones(2 * _BLOCK + 3)]
+    write_csv(tmp_path / "blocks.csv", ["a", "b"], [columns])
+    assert writes == ["a,b\n", *format_rows(columns)]
+    assert len(writes) == 4
 
 
 def test_formatting_holds_one_block_of_cells():
